@@ -4,8 +4,8 @@ When the bank overflows its capacity, the entry with the highest mean
 pairwise cosine similarity to the rest is discarded (the newcomer included),
 keeping the stored vectors maximally diverse.  Retrieval evaluates the
 adaptation fitness of every stored vector on the current batch -- plus the
-zero vector, so a fresh start is always a candidate -- and returns the
-argmin as the warm-start mean.
+zero vector, so a fresh start is always a candidate -- in one population
+forward pass and returns the argmin as the warm-start mean.
 """
 from __future__ import annotations
 
@@ -91,9 +91,10 @@ class VectorBank:
     ) -> RetrievalResult:
         """Warm-start vector: fitness argmin over the bank (and the fresh start).
 
-        Evaluating each candidate costs one forward pass; the count is
-        reported for telemetry.  If every candidate evaluates non-finite, the
-        zero vector is returned with a warning flag.
+        All candidates are projected in one ``transform`` and scored in one
+        population ``forward`` and one ``fitness`` call; each still counts as
+        one logical forward pass in the reported count.  If every candidate
+        evaluates non-finite, the zero vector is returned with a warning flag.
         """
         candidates = []
         if include_zero:
@@ -101,20 +102,15 @@ class VectorBank:
         candidates.extend(self.vectors)
         if not candidates:
             return RetrievalResult(np.zeros(self.dim), 0, [])
-        scores = []
-        for cand in candidates:
-            probs, stats = model.forward(projector.project(cand), batch)
-            if not stats.finite:
-                scores.append(np.inf)
-                continue
-            scores.append(fitness(probs, stats, source_stats, fitness_config))
-        scores_arr = np.asarray(scores)
-        if not np.any(np.isfinite(scores_arr)):
+        probs, stats = model.forward(projector.transform(np.stack(candidates)), batch)
+        scores = fitness(probs, stats, source_stats, fitness_config)
+        scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
+        if not np.any(np.isfinite(scores)):
             return RetrievalResult(
-                np.zeros(self.dim), len(candidates), scores, all_non_finite=True
+                np.zeros(self.dim), len(candidates), scores.tolist(), all_non_finite=True
             )
-        best = int(np.argmin(np.where(np.isfinite(scores_arr), scores_arr, np.inf)))
-        return RetrievalResult(candidates[best].copy(), len(candidates), scores)
+        best = int(np.argmin(scores))
+        return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist())
 
     # -- persistence ---------------------------------------------------------
 

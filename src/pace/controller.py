@@ -1,8 +1,9 @@
 """Per-batch adaptation state machine.
 
 While ADAPTING, each test batch is served by the best of ``population_size``
-candidate offsets sampled around the current search mean; the distribution is
-then updated from the candidates' fitness ranking.  Adaptation freezes once
+candidate offsets sampled around the current search mean, all projected,
+evaluated and scored in one population pass; the distribution is then updated
+from the candidates' fitness ranking.  Adaptation freezes once
 the relative change of the mean falls below ``epsilon``; a FROZEN batch costs
 a single forward pass with the stored offset.  A frozen exponential moving
 average of stem-layer statistics is compared against each incoming batch via
@@ -21,7 +22,7 @@ from .bank import VectorBank
 from .fitness import FitnessConfig, fitness
 from .model import AdaptableModel, SourceStats
 from .projection import FastfoodProjector
-from .validation import check_array
+from .validation import check_array, check_batch
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
@@ -200,6 +201,8 @@ class PaceController:
     # -- public API ----------------------------------------------------------
 
     def process_batch(self, batch) -> tuple[np.ndarray, BatchReport]:
+        """Serve one batch; a batch that fails validation raises before any state moves."""
+        batch = check_batch(batch, "batch", width=self.model.config.in_dim)
         index = self._batch_index
         self._batch_index += 1
         self.telemetry.batches += 1
@@ -252,22 +255,13 @@ class PaceController:
             # so the batch is still served and the forward count stays exact
             population[bad_rows] = self.cmaes_state.mean
         offsets = self.projector.transform(population)
-        candidates = []
-        scores = np.empty(cfg.population_size)
-        all_probs = []
-        all_stats = []
-        for k in range(cfg.population_size):
-            probs_k, stats_k = self.model.forward(offsets[k], batch)
-            if stats_k.finite:
-                score = fitness(probs_k, stats_k, self.source_stats, self.fitness_config)
-            else:
-                score = np.inf
-            if not np.isfinite(score):
-                score = np.inf
-            scores[k] = score
-            candidates.append(cmaes.RankedCandidate(population[k], float(score)))
-            all_probs.append(probs_k)
-            all_stats.append(stats_k)
+        probs, stats = self.model.forward(offsets, batch)
+        scores = fitness(probs, stats, self.source_stats, self.fitness_config)
+        scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
+        candidates = [
+            cmaes.RankedCandidate(population[k], float(scores[k]))
+            for k in range(cfg.population_size)
+        ]
         self.telemetry.adapted_batches += 1
         self.telemetry.forward_passes += cfg.population_size
 
@@ -287,8 +281,8 @@ class PaceController:
             )
 
         best = int(np.argmin(scores))
-        predictions = all_probs[best]
-        batch_stats = self._stem_stats(all_stats[best])
+        predictions = probs[best].copy()  # a view would keep all K candidates alive
+        batch_stats = self._stem_stats(stats)
         score_u = self._score_against_ema(batch_stats)
         forward_passes = cfg.population_size
 

@@ -7,12 +7,12 @@ Two architectures are provided:
   units (linear, layernorm, relu, skip connection) and a softmax head.
 
 Base weights are frozen after training.  Test-time adaptation never touches
-them: every forward call takes an offset vector that is partitioned across
-the adaptable normalization scale/bias vectors and added functionally.  For
-the residual model the first (stem) and last block's normalization layers are
-kept fixed and excluded from the offset layout; the statistics used for shift
-detection are taken from the stem's pre-normalization output, so they are
-invariant to any offset.
+them: every forward call takes an offset vector (or a population of them, one
+per row) that is partitioned across the adaptable normalization scale/bias
+vectors and added functionally.  For the residual model the first (stem) and
+last block's normalization layers are kept fixed and excluded from the offset
+layout; the statistics used for shift detection are taken from the stem's
+pre-normalization output, so they are invariant to any offset.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally; adaptation itself never computes gradients.
@@ -77,17 +77,19 @@ class ActivationStats:
     """Per-batch activation statistics emitted by a forward pass.
 
     ``means``/``stds`` hold per-feature batch statistics of each block
-    output; ``stem_mean``/``stem_var`` are taken at the stem tap used for
-    shift detection.  ``finite`` is False when the forward pass produced any
-    non-finite value (degenerate offsets), letting the controller rank the
-    candidate last instead of failing.
+    output, shape ``(w,)`` for one offset or ``(K, w)`` for a population;
+    ``stem_mean``/``stem_var`` are taken at the stem tap used for shift
+    detection and are offset-invariant, so they keep shape ``(w,)``.
+    ``finite`` is False when the forward pass produced any non-finite value
+    (degenerate offsets), letting the controller rank the candidate last
+    instead of failing; for a population it is a ``(K,)`` bool array.
     """
 
     means: list[np.ndarray]
     stds: list[np.ndarray]
     stem_mean: np.ndarray
     stem_var: np.ndarray
-    finite: bool = True
+    finite: bool | np.ndarray = True
 
 
 @dataclass
@@ -101,18 +103,46 @@ class SourceStats:
     sample_count: int = 0
 
 
-def _layer_norm(z, scale, bias):
-    mu = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
+def _moments(x, axis):
+    """Mean, centred ``x`` and variance along ``axis`` (kept).
+
+    The same operations as ``np.mean`` and ``np.var``, so bit-identical to
+    them, but the mean is summed once.
+    """
+    n = x.shape[axis]
+    mean = np.add.reduce(x, axis=axis, keepdims=True) / n
+    centred = x - mean
+    return mean, centred, np.add.reduce(centred * centred, axis=axis, keepdims=True) / n
+
+
+def _batch_moments(x):
+    """Per-feature mean and variance over the batch axis, the second to last."""
+    mean, _, var = _moments(x, -2)
+    return mean[..., 0, :], var[..., 0, :]
+
+
+def _normalize(z):
+    _, centred, var = _moments(z, -1)
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (z - mu) * inv_std
+    return centred * inv_std, inv_std
+
+
+def _layer_norm(z, scale, bias):
+    xhat, inv_std = _normalize(z)
     return xhat * scale + bias, xhat, inv_std
 
 
+def _linear(h, weight, bias):
+    """``h @ weight + bias`` as one GEMM over all leading axes of ``h``."""
+    if h.ndim == 2:
+        return h @ weight + bias
+    return (h.reshape(-1, h.shape[-1]) @ weight + bias).reshape(*h.shape[:-1], -1)
+
+
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class AdaptableModel(ParamsMixin):
@@ -183,70 +213,80 @@ class AdaptableModel(ParamsMixin):
                     f"weight {key} has shape {self.weights[key].shape}, expected {shape}"
                 )
 
-    def _norm_params(self, offset: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
+    def _norm_params(self, offsets: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
+        """Scale and bias of ``layer``; ``(K, 1, w)`` where a population of offsets applies."""
         scale = self.weights[f"{layer}.ln_scale"]
         bias = self.weights[f"{layer}.ln_bias"]
         key = (layer, "scale")
         if key in self._slices:
-            scale = scale + offset[self._slices[key]]
-            bias = bias + offset[self._slices[(layer, "bias")]]
+            scale = scale + offsets[..., None, self._slices[key]]
+            bias = bias + offsets[..., None, self._slices[(layer, "bias")]]
         return scale, bias
 
     # -- inference ---------------------------------------------------------
 
-    def _activations(self, offset: np.ndarray, X: np.ndarray):
-        """Returns (logits, block outputs, stem pre-normalization output)."""
-        w = self.weights
-        if self.config.kind == "mlp":
-            z1 = X @ w["layer1.w"] + w["layer1.b"]
-            s1, b1 = self._norm_params(offset, "layer1")
-            n1, _, _ = _layer_norm(z1, s1, b1)
-            h1 = np.maximum(n1, 0.0)
-            z2 = h1 @ w["layer2.w"] + w["layer2.b"]
-            s2, b2 = self._norm_params(offset, "layer2")
-            n2, _, _ = _layer_norm(z2, s2, b2)
-            h2 = np.maximum(n2, 0.0)
-            logits = h2 @ w["head.w"] + w["head.b"]
-            return logits, [h1, h2], z1
-        z0 = X @ w["stem.w"] + w["stem.b"]
-        s0, b0 = self._norm_params(offset, "stem")
-        h, _, _ = _layer_norm(z0, s0, b0)
-        blocks = []
-        for i in range(1, self.config.blocks + 1):
-            zi = h @ w[f"block{i}.w"] + w[f"block{i}.b"]
-            si, bi = self._norm_params(offset, f"block{i}")
-            ni, _, _ = _layer_norm(zi, si, bi)
-            h = h + np.maximum(ni, 0.0)
-            blocks.append(h)
-        logits = h @ w["head.w"] + w["head.b"]
-        return logits, blocks, z0
+    def _activations(self, offsets: np.ndarray, X: np.ndarray):
+        """Logits, and (mean, variance) over the batch of each block and the stem tap.
 
-    def forward(self, offset, batch) -> tuple[np.ndarray, ActivationStats]:
+        ``offsets`` is one offset ``(offset_dim,)`` or a population
+        ``(K, offset_dim)``; the population axis leads every offset-dependent
+        result.  Layers before the first offset run once on the ``(B, w)``
+        batch and are shared by all K candidates: the mlp's first linear
+        layer and its normalized activations, the residual model's fixed stem
+        and its first block's linear layer.  From there on activations are
+        ``(K, B, w)`` and each linear layer is one ``(K*B, w)`` GEMM.  Only
+        the moments of a block output are kept, not the output itself.
+        """
+        w = self.weights
+        residual = self.config.kind == "residual"
+        h = X
+        stem = None
+        blocks = []
+        for layer in self.config.norm_layers():
+            z = _linear(h, w[f"{layer}.w"], w[f"{layer}.b"])
+            xhat, _ = _normalize(z)
+            scale, bias = self._norm_params(offsets, layer)
+            n = xhat * scale + bias
+            if stem is None:
+                stem = _batch_moments(z)
+                if residual:  # the stem has no activation and no skip
+                    h = n
+                    continue
+            activation = np.maximum(n, 0.0)
+            h = h + activation if residual else activation
+            blocks.append(_batch_moments(h))
+        logits = _linear(h, w["head.w"], w["head.b"])
+        return logits, blocks, stem
+
+    def forward(self, offsets, batch) -> tuple[np.ndarray, ActivationStats]:
         """Adapted forward pass: probabilities plus activation statistics.
 
-        ``offset`` (length ``offset_dim``) is added to the adaptable
-        normalization parameters for this call only.  The batch must be
-        finite; non-finite *activations* (from extreme offsets) are tolerated
-        and reported through ``stats.finite``.
+        ``offsets`` of shape ``(offset_dim,)`` is added to the adaptable
+        normalization parameters for this call only; it returns
+        probabilities ``(B, C)`` and statistics of shape ``(w,)``.  Shape
+        ``(K, offset_dim)`` evaluates a population of K candidates in one
+        pass: probabilities ``(K, B, C)``, per-block statistics ``(K, w)``
+        and a ``(K,)`` ``finite`` array, where row k is bit-identical to
+        ``forward(offsets[k], batch)``.  The batch must be finite;
+        non-finite *activations* (from extreme offsets) are tolerated and
+        reported through ``stats.finite``.
         """
         X = check_batch(batch, "batch", width=self.config.in_dim)
-        offset = check_array(offset, "offset", ndim=1, length=self.offset_dim)
+        offsets = np.asarray(offsets, dtype=np.float64)
+        if offsets.ndim not in (1, 2):
+            raise ValueError(f"offset must be 1- or 2-dimensional, got shape {offsets.shape}")
+        offsets = check_array(offsets, "offset", length=self.offset_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, blocks, stem = self._activations(offset, X)
+            logits, blocks, (stem_mean, stem_var) = self._activations(offsets, X)
             probs = _softmax(logits)
-            means = [blk.mean(axis=0) for blk in blocks]
-            stds = [blk.std(axis=0) for blk in blocks]
-            stats = ActivationStats(
-                means=means,
-                stds=stds,
-                stem_mean=stem.mean(axis=0),
-                stem_var=stem.var(axis=0),
-            )
-        finite = np.all(np.isfinite(probs))
+            means = [mean for mean, _ in blocks]
+            stds = [np.sqrt(var) for _, var in blocks]
+        finite = np.isfinite(probs).all(axis=(-2, -1))
         for arr in means + stds:
-            finite = finite and np.all(np.isfinite(arr))
-        stats.finite = bool(finite)
-        return probs, stats
+            finite &= np.isfinite(arr).all(axis=-1)
+        if offsets.ndim == 1:
+            finite = bool(finite)
+        return probs, ActivationStats(means, stds, stem_mean, stem_var, finite)
 
     def zero_offset(self) -> np.ndarray:
         return np.zeros(self.offset_dim)
@@ -433,10 +473,9 @@ class _RunningMoments:
         self.mean = np.zeros(width)
         self.m2 = np.zeros(width)
 
-    def update(self, batch: np.ndarray):
-        n_b = batch.shape[0]
-        b_mean = batch.mean(axis=0)
-        b_m2 = batch.var(axis=0) * n_b
+    def update(self, n_b: int, b_mean: np.ndarray, b_var: np.ndarray):
+        """Merge a batch of ``n_b`` samples with per-feature mean and variance."""
+        b_m2 = b_var * n_b
         total = self.count + n_b
         delta = b_mean - self.mean
         self.mean = self.mean + delta * (n_b / total)
@@ -459,9 +498,9 @@ def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
     for batch in source_batches:
         X = check_batch(batch, "source batch", width=model.config.in_dim)
         _, blocks, stem = model._activations(zero, X)
-        for moments, blk in zip(block_moments, blocks):
-            moments.update(blk)
-        stem_moments.update(stem)
+        for moments, (mean, var) in zip(block_moments, blocks):
+            moments.update(X.shape[0], mean, var)
+        stem_moments.update(X.shape[0], *stem)
         seen += X.shape[0]
     if seen == 0:
         raise ValueError("source statistics require at least one sample")

@@ -134,7 +134,19 @@ class FastfoodProjector(ParamsMixin):
         self.seed = int(seed)
         self.d_padded = next_power_of_two(self.d)
         n_blocks = -(-self.D // self.d_padded)  # ceil
-        self.blocks = tuple(_build_block(self.seed, i, self.d_padded) for i in range(n_blocks))
+        built = [_build_block(self.seed, i, self.d_padded) for i in range(n_blocks)]
+        # each factor of all blocks stacked to (n_blocks, d_padded), so one
+        # transform pushes every row through every block at once; the blocks
+        # are row views of these arrays
+        self._signs, self._gauss, self._perms, self._scales = (
+            np.stack(factor)
+            for factor in zip(*((b.b_signs, b.g_gauss, b.perm, b.s_scale) for b in built))
+        )
+        self.blocks = tuple(
+            FastfoodBlock(self._signs[i], self._gauss[i], self._perms[i], self._scales[i])
+            for i in range(n_blocks)
+        )
+        self._block_rows = np.arange(n_blocks)[:, None]
         # makes the composite approximately entrywise N(0, 1/d)
         self._output_scale = 1.0 / (self.d_padded * np.sqrt(self.d))
 
@@ -151,21 +163,20 @@ class FastfoodProjector(ParamsMixin):
         return self.D * self.d * itemsize
 
     def transform(self, V) -> np.ndarray:
-        """Project each row of ``V`` (shape ``(n, d)``) to shape ``(n, D)``."""
+        """Project each row of ``V`` (shape ``(n, d)``) to shape ``(n, D)``.
+
+        All rows and all blocks go through one array of shape
+        ``(n, n_blocks, d_padded)``, so the whole projection costs two
+        ``fwht`` calls whatever ``n`` and the block count.
+        """
         V = check_array(V, "input", ndim=2, length=self.d)
         n = V.shape[0]
-        padded = np.zeros((n, self.d_padded), dtype=np.float64)
-        padded[:, : self.d] = V
-        pieces = []
-        for block in self.blocks:
-            u = padded * block.b_signs
-            u = fwht(u)
-            u = u[:, block.perm]
-            u = u * block.g_gauss
-            u = fwht(u)
-            u = u * (block.s_scale * self._output_scale)
-            pieces.append(u)
-        return np.concatenate(pieces, axis=1)[:, : self.D]
+        padded = np.zeros((n, 1, self.d_padded), dtype=np.float64)
+        padded[:, 0, : self.d] = V
+        u = fwht(padded * self._signs)
+        u = fwht(u[:, self._block_rows, self._perms] * self._gauss)
+        u = u * (self._scales * self._output_scale)
+        return u.reshape(n, -1)[:, : self.D]
 
     def project(self, v) -> np.ndarray:
         """Project a single vector of length ``d`` to length ``D``."""

@@ -253,6 +253,37 @@ class TestProcessBatch:
         with pytest.raises(ValueError, match="non-finite"):
             controller.process_batch(bad)
 
+    @pytest.mark.parametrize("defect", ["nan", "width"])
+    def test_rejected_batch_leaves_controller_untouched(self, adapted_setup, defect):
+        model, stats, config = adapted_setup
+        stream_cfg = _stream_config(
+            [DomainSpec("feature_scale", 1.8, 40), DomainSpec("feature_scale", 0.4, 20)],
+            seed=13,
+        )
+        batches = [batch.features for batch in generate_stream(stream_cfg)]
+        clean = PaceController(model, stats, config)
+        rejecting = PaceController(model, stats, config)
+        modes_at_rejection = []
+        for index, batch in enumerate(batches):
+            if index in (5, 35):
+                bad = batch.copy()
+                if defect == "nan":
+                    bad[0, 0] = np.nan
+                else:
+                    bad = np.hstack([bad, bad[:, :1]])
+                modes_at_rejection.append(rejecting.mode)
+                with pytest.raises(ValueError):
+                    rejecting.process_batch(bad)
+            probs_clean, report_clean = clean.process_batch(batch)
+            probs, report = rejecting.process_batch(batch)
+            np.testing.assert_array_equal(probs, probs_clean)
+            np.testing.assert_equal(vars(report), vars(report_clean))
+        assert modes_at_rejection == [ADAPTING, FROZEN]
+        assert rejecting.telemetry == clean.telemetry
+        telem = rejecting.telemetry
+        assert telem.batches == telem.adapted_batches + telem.frozen_batches == 60
+        assert telem.shifts_detected >= 1
+
     def test_all_candidates_non_finite_served_by_zero_offset(
         self, adapted_setup, monkeypatch
     ):
@@ -274,17 +305,21 @@ class TestProcessBatch:
         controller = PaceController(model, stats, config)
         batch = np.random.default_rng(1).standard_normal((8, 2))
         real_fitness = fitness
-        calls = {"n": 0}
+        clean = {}
 
         def poisoned(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return np.nan
-            return real_fitness(*args, **kwargs)
+            # the population is scored in one call; poison the first candidate's row
+            scores = np.array(real_fitness(*args, **kwargs), dtype=np.float64)
+            clean["scores"] = scores.copy()
+            scores[0] = np.nan
+            return scores
 
         monkeypatch.setattr(ctrl, "fitness", poisoned)
         probs, report = controller.process_batch(batch)
+        assert clean["scores"].shape == (config.population_size,)
         assert np.isfinite(report.fitness_best)
+        assert report.fitness_best == clean["scores"][1:].min()
+        assert np.all(np.isfinite(probs))
         assert controller.telemetry.identity_holds(config.population_size)
 
     def test_predictions_come_from_lowest_fitness_candidate(self, adapted_setup):
