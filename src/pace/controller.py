@@ -202,14 +202,16 @@ class PaceController:
 
     def process_batch(self, batch) -> tuple[np.ndarray, BatchReport]:
         """Serve one batch; a batch that fails validation raises before any state moves."""
-        batch = check_batch(batch, "batch", width=self.model.config.in_dim)
         index = self._batch_index
-        self._batch_index += 1
-        self.telemetry.batches += 1
         if self.mode == ADAPTING:
+            # the candidate draw comes before the first forward, so check here
+            batch = check_batch(batch, "batch", width=self.model.config.in_dim)
             probs, report = self._process_adapting(batch, index)
         else:
+            # the frozen forward checks the batch before any state moves
             probs, report = self._process_frozen(batch, index)
+        self._batch_index += 1
+        self.telemetry.batches += 1
         return probs, report
 
     def predict_proba(self, X) -> np.ndarray:

@@ -134,19 +134,13 @@ class FastfoodProjector(ParamsMixin):
         self.seed = int(seed)
         self.d_padded = next_power_of_two(self.d)
         n_blocks = -(-self.D // self.d_padded)  # ceil
-        built = [_build_block(self.seed, i, self.d_padded) for i in range(n_blocks)]
+        self.blocks = tuple(_build_block(self.seed, i, self.d_padded) for i in range(n_blocks))
         # each factor of all blocks stacked to (n_blocks, d_padded), so one
-        # transform pushes every row through every block at once; the blocks
-        # are row views of these arrays
+        # transform pushes every row through every block at once
         self._signs, self._gauss, self._perms, self._scales = (
             np.stack(factor)
-            for factor in zip(*((b.b_signs, b.g_gauss, b.perm, b.s_scale) for b in built))
+            for factor in zip(*((b.b_signs, b.g_gauss, b.perm, b.s_scale) for b in self.blocks))
         )
-        self.blocks = tuple(
-            FastfoodBlock(self._signs[i], self._gauss[i], self._perms[i], self._scales[i])
-            for i in range(n_blocks)
-        )
-        self._block_rows = np.arange(n_blocks)[:, None]
         # makes the composite approximately entrywise N(0, 1/d)
         self._output_scale = 1.0 / (self.d_padded * np.sqrt(self.d))
 
@@ -174,7 +168,7 @@ class FastfoodProjector(ParamsMixin):
         padded = np.zeros((n, 1, self.d_padded), dtype=np.float64)
         padded[:, 0, : self.d] = V
         u = fwht(padded * self._signs)
-        u = fwht(u[:, self._block_rows, self._perms] * self._gauss)
+        u = fwht(np.take_along_axis(u, self._perms[None], axis=-1) * self._gauss)
         u = u * (self._scales * self._output_scale)
         return u.reshape(n, -1)[:, : self.D]
 
