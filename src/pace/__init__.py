@@ -10,7 +10,6 @@ from .bank import RetrievalResult, VectorBank, mean_pairwise_cosine
 from .cmaes import (
     CmaesState,
     RankedCandidate,
-    best_candidate,
     init,
     sample_population,
     update,
@@ -23,7 +22,6 @@ from .controller import (
     Telemetry,
     calibrate_gamma,
     shift_score,
-    should_stop,
     update_ema,
 )
 from .fitness import FitnessConfig, fitness
@@ -31,6 +29,7 @@ from .model import (
     ActivationStats,
     AdaptableModel,
     ArchitectureConfig,
+    Layer,
     PretrainError,
     SourceStats,
     compute_source_stats,
@@ -38,7 +37,7 @@ from .model import (
     pretrain,
     save_checkpoint,
 )
-from .projection import FastfoodBlock, FastfoodProjector, build_projector, fwht, project
+from .projection import FastfoodBlock, FastfoodProjector, fwht
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "mean_pairwise_cosine",
     "CmaesState",
     "RankedCandidate",
-    "best_candidate",
     "init",
     "sample_population",
     "update",
@@ -60,13 +58,13 @@ __all__ = [
     "Telemetry",
     "calibrate_gamma",
     "shift_score",
-    "should_stop",
     "update_ema",
     "FitnessConfig",
     "fitness",
     "ActivationStats",
     "AdaptableModel",
     "ArchitectureConfig",
+    "Layer",
     "PretrainError",
     "SourceStats",
     "compute_source_stats",
@@ -75,8 +73,6 @@ __all__ = [
     "save_checkpoint",
     "FastfoodBlock",
     "FastfoodProjector",
-    "build_projector",
     "fwht",
-    "project",
     "__version__",
 ]

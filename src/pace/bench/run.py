@@ -332,13 +332,11 @@ def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerC
         bank_capacity=config.bank_capacity,
         seed=config.seed,
     )
-    if method == "pace-always":
+    if method in ("pace-always", "pace-v1"):
+        # never freezes, so neither the detector nor the bank ever runs
         kwargs["epsilon"] = 0.0
-    elif method == "pace-v1":
-        kwargs["stop_enabled"] = False
-        kwargs["shift_enabled"] = False
     elif method == "pace-v2":
-        kwargs["stop_enabled"] = False
+        kwargs["epsilon"] = 0.0
         kwargs["shift_while_adapting"] = True
     elif method == "pace-v3":
         kwargs["bank_capacity"] = 0

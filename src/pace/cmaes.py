@@ -227,15 +227,6 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
     return new_state, rel_mean_change
 
 
-def best_candidate(ranked: list[RankedCandidate]) -> RankedCandidate:
-    """Minimum-fitness entry; ties and non-finite values resolve to the lowest index."""
-    if not ranked:
-        raise ValueError("candidate list is empty")
-    fitness = np.array([c.fitness for c in ranked], dtype=np.float64)
-    fitness = np.where(np.isfinite(fitness), fitness, np.inf)
-    return ranked[int(np.argmin(fitness))]
-
-
 def reinitialized(state: CmaesState, m0, tau0: float) -> CmaesState:
     """Fresh search distribution warm-started at ``m0`` (identity covariance)."""
     return init(state.dim, m0=m0, tau0=tau0, population_size=state.population_size)

@@ -30,7 +30,11 @@ FROZEN = "frozen"
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the adaptation loop; defaults target the desk-scale benchmark."""
+    """Knobs of the adaptation loop; defaults target the desk-scale benchmark.
+
+    ``epsilon = 0`` never stops adapting, so the detector and the bank then
+    run only with ``shift_while_adapting``.
+    """
 
     dim: int = 32
     population_size: int = 12
@@ -40,11 +44,7 @@ class ControllerConfig:
     beta: float = 0.8
     lambda_weight: float = 0.4
     bank_capacity: int = 30
-    stop_enabled: bool = True
-    shift_enabled: bool = True
     shift_while_adapting: bool = False
-    include_zero_candidate: bool = True
-    variance_floor: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -97,19 +97,6 @@ def shift_score(a: EmaStats, b: EmaStats, variance_floor: float = 1e-8) -> float
     return float(per_feature.mean())
 
 
-def should_stop(m_prev, m_curr, epsilon: float) -> bool:
-    """True when the relative mean change falls below ``epsilon``.
-
-    Never stops from the origin: the ratio is undefined for ``|m_prev| = 0``.
-    """
-    m_prev = check_array(m_prev, "m_prev", ndim=1)
-    m_curr = check_array(m_curr, "m_curr", ndim=1, length=m_prev.shape[0])
-    prev_norm = np.linalg.norm(m_prev)
-    if prev_norm == 0:
-        return False
-    return bool(np.linalg.norm(m_curr - m_prev) / prev_norm < epsilon)
-
-
 def calibrate_gamma(scores, percentile: float = 99.5, headroom: float = 2.5) -> float:
     """Shift threshold from held-out in-distribution score samples.
 
@@ -145,7 +132,11 @@ class Telemetry:
         )
 
     def identity_holds(self, population_size: int) -> bool:
-        return self.forward_passes == self.expected_forward_passes(population_size)
+        """Forward passes and batches both add up over the two paths."""
+        return (
+            self.forward_passes == self.expected_forward_passes(population_size)
+            and self.batches == self.adapted_batches + self.frozen_batches
+        )
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -214,12 +205,6 @@ class PaceController:
         self.telemetry.batches += 1
         return probs, report
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.process_batch(X)[0]
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
     # -- internals -----------------------------------------------------------
 
     def _stem_stats(self, stats) -> EmaStats:
@@ -228,7 +213,7 @@ class PaceController:
     def _score_against_ema(self, batch_stats: EmaStats) -> float:
         if self.ema is None:
             return np.nan
-        return shift_score(self.ema, batch_stats, self.config.variance_floor)
+        return shift_score(self.ema, batch_stats)
 
     def _reinitialize_from_bank(self, batch, mean_to_archive: np.ndarray):
         """Archive the given mean, retrieve a warm start, reset search and detector EMA."""
@@ -239,7 +224,6 @@ class PaceController:
             self.projector,
             self.source_stats,
             self.fitness_config,
-            include_zero=self.config.include_zero_candidate,
         )
         self.telemetry.retrieval_forwards += result.forward_passes
         self.telemetry.forward_passes += result.forward_passes
@@ -289,8 +273,7 @@ class PaceController:
         forward_passes = cfg.population_size
 
         shift = (
-            cfg.shift_enabled
-            and cfg.shift_while_adapting
+            cfg.shift_while_adapting
             and self.ema is not None
             and np.isfinite(score_u)
             and score_u > cfg.gamma
@@ -302,10 +285,10 @@ class PaceController:
             forward_passes += result.forward_passes
             self.ema = EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
         else:
-            m_prev = self.cmaes_state.mean.copy()
             self.cmaes_state, rel_change = cmaes.update(self.cmaes_state, candidates)
             self.ema = update_ema(self.ema, batch_stats, cfg.beta)
-            if cfg.stop_enabled and should_stop(m_prev, self.cmaes_state.mean, cfg.epsilon):
+            # inf from the origin, so never below epsilon there; epsilon 0 never stops
+            if rel_change < cfg.epsilon:
                 self.mode = FROZEN
                 self.frozen_offset = self.projector.project(self.cmaes_state.mean)
                 self.telemetry.stops += 1
@@ -332,7 +315,7 @@ class PaceController:
             best_fitness = np.nan
         batch_stats = self._stem_stats(stats)
         score_u = self._score_against_ema(batch_stats)
-        shift = cfg.shift_enabled and np.isfinite(score_u) and score_u > cfg.gamma
+        shift = np.isfinite(score_u) and score_u > cfg.gamma
         if shift:
             self.telemetry.shifts_detected += 1
             result = self._reinitialize_from_bank(batch, self.cmaes_state.mean.copy())

@@ -1,18 +1,23 @@
 """Forward-only toy classifiers with offsettable normalization parameters.
 
-Two architectures are provided:
+A model is a list of layers followed by a linear softmax head.  Each layer is
+a linear map and a layer norm, optionally followed by a ReLU and a skip
+connection around both, and its normalization scale/bias is either adaptable
+or fixed.  ``ArchitectureConfig.layers`` spells out the two architectures:
 
-* ``mlp`` -- two linear+layernorm+relu layers and a softmax head;
-* ``residual`` -- a linear+layernorm stem followed by ``blocks`` residual
-  units (linear, layernorm, relu, skip connection) and a softmax head.
+* ``mlp`` -- ``layer1`` and ``layer2``, each with a ReLU, both adaptable;
+* ``residual`` -- a fixed ``stem`` without ReLU, then ``blocks`` residual
+  units with ReLU and skip connection, all adaptable except the last.
+
+Inference, training, weight initialization and the shape checks all walk
+that one list.  The layers with a ReLU are the blocks whose output statistics
+enter the fitness; the first layer's pre-normalization output is the stem tap
+used for shift detection, which no offset can reach.
 
 Base weights are frozen after training.  Test-time adaptation never touches
 them: every forward call takes an offset vector (or a population of them, one
 per row) that is partitioned across the adaptable normalization scale/bias
-vectors and added functionally.  For the residual model the first (stem) and
-last block's normalization layers are kept fixed and excluded from the offset
-layout; the statistics used for shift detection are taken from the stem's
-pre-normalization output, so they are invariant to any offset.
+vectors and added functionally.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally; adaptation itself never computes gradients.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import ParamsMixin, check_array, check_batch, check_positive_int
+from .validation import check_array, check_batch, check_positive_int
 
 CHECKPOINT_SCHEMA_VERSION = 1
 _LN_EPS = 1e-5
@@ -36,6 +41,21 @@ class PretrainError(RuntimeError):
     def __init__(self, message: str, accuracy: float):
         super().__init__(message)
         self.accuracy = accuracy
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One linear + layer-norm layer; ``relu``, ``skip`` and ``adaptable`` shape the rest.
+
+    ``skip`` adds the layer's input to its (activated) output; ``adaptable``
+    puts its normalization scale and bias into the offset layout.
+    """
+
+    name: str
+    fan_in: int
+    relu: bool = True
+    skip: bool = False
+    adaptable: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,20 +76,19 @@ class ArchitectureConfig:
         if self.kind == "residual" and self.blocks < 2:
             raise ValueError("residual architecture needs at least 2 blocks")
 
-    def norm_layers(self) -> list[str]:
-        if self.kind == "mlp":
-            return ["layer1", "layer2"]
-        return ["stem"] + [f"block{i}" for i in range(1, self.blocks + 1)]
-
-    def adaptable_norms(self) -> list[str]:
-        """Normalization layers whose affine parameters receive offsets.
+    def layers(self) -> list[Layer]:
+        """The layers in order, each of output width ``width``; the head follows.
 
         The residual model keeps the first (stem) and last block fixed; the
         two-layer MLP is too shallow for that rule, so both layers adapt.
         """
         if self.kind == "mlp":
-            return ["layer1", "layer2"]
-        return [f"block{i}" for i in range(1, self.blocks)]
+            return [Layer("layer1", self.in_dim), Layer("layer2", self.width)]
+        blocks = [
+            Layer(f"block{i}", self.width, skip=True, adaptable=i < self.blocks)
+            for i in range(1, self.blocks + 1)
+        ]
+        return [Layer("stem", self.in_dim, relu=False, adaptable=False)] + blocks
 
 
 @dataclass
@@ -142,7 +161,7 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class AdaptableModel(ParamsMixin):
+class AdaptableModel:
     """A trained classifier whose normalization affine parameters accept offsets."""
 
     def __init__(self, config: ArchitectureConfig, weights: dict):
@@ -152,11 +171,13 @@ class AdaptableModel(ParamsMixin):
             arr = np.asarray(arr, dtype=np.float64)
             arr.flags.writeable = False  # base weights are immutable
             self.weights[key] = arr
+        self.layers = config.layers()
         self._check_weight_shapes()
         layout = []
-        for layer in config.adaptable_norms():
-            layout.append((layer, "scale", config.width))
-            layout.append((layer, "bias", config.width))
+        for layer in self.layers:
+            if layer.adaptable:
+                layout.append((layer.name, "scale", config.width))
+                layout.append((layer.name, "bias", config.width))
         self.norm_param_layout: list[tuple[str, str, int]] = layout
         self._slices = {}
         start = 0
@@ -169,7 +190,8 @@ class AdaptableModel(ParamsMixin):
 
     @property
     def block_count(self) -> int:
-        return 2 if self.config.kind == "mlp" else self.config.blocks
+        """Layers with a ReLU; their output statistics enter the fitness."""
+        return sum(layer.relu for layer in self.layers)
 
     @property
     def class_count(self) -> int:
@@ -180,27 +202,12 @@ class AdaptableModel(ParamsMixin):
         return self.config.width
 
     def _check_weight_shapes(self):
-        cfg = self.config
-        w, c, n = cfg.width, cfg.class_count, cfg.in_dim
+        w, c = self.config.width, self.config.class_count
         expected = {}
-        if cfg.kind == "mlp":
-            expected.update({"layer1.w": (n, w), "layer2.w": (w, w)})
-            for layer in ("layer1", "layer2"):
-                expected.update(
-                    {f"{layer}.b": (w,), f"{layer}.ln_scale": (w,), f"{layer}.ln_bias": (w,)}
-                )
-        else:
-            expected["stem.w"] = (n, w)
-            expected.update({"stem.b": (w,), "stem.ln_scale": (w,), "stem.ln_bias": (w,)})
-            for i in range(1, cfg.blocks + 1):
-                expected[f"block{i}.w"] = (w, w)
-                expected.update(
-                    {
-                        f"block{i}.b": (w,),
-                        f"block{i}.ln_scale": (w,),
-                        f"block{i}.ln_bias": (w,),
-                    }
-                )
+        for layer in self.layers:
+            expected[f"{layer.name}.w"] = (layer.fan_in, w)
+            for part in ("b", "ln_scale", "ln_bias"):
+                expected[f"{layer.name}.{part}"] = (w,)
         expected.update({"head.w": (w, c), "head.b": (c,)})
         for key, shape in expected.items():
             if key not in self.weights:
@@ -235,21 +242,19 @@ class AdaptableModel(ParamsMixin):
         the moments of a block output are kept, not the output itself.
         """
         w = self.weights
-        residual = self.config.kind == "residual"
         h = X
         stem = None
         blocks = []
-        for layer in self.config.norm_layers():
-            z = _linear(h, w[f"{layer}.w"], w[f"{layer}.b"])
-            n, _, _ = _layer_norm(z, *self._norm_params(offsets, layer))
+        for layer in self.layers:
+            z = _linear(h, w[f"{layer.name}.w"], w[f"{layer.name}.b"])
+            n, _, _ = _layer_norm(z, *self._norm_params(offsets, layer.name))
             if stem is None:
                 stem = _batch_moments(z)
-                if residual:  # the stem has no activation and no skip
-                    h = n
-                    continue
-            activation = np.maximum(n, 0.0)
-            h = h + activation if residual else activation
-            blocks.append(_batch_moments(h))
+            if layer.relu:
+                n = np.maximum(n, 0.0)
+            h = h + n if layer.skip else n
+            if layer.relu:
+                blocks.append(_batch_moments(h))
         logits = _linear(h, w["head.w"], w["head.b"])
         return logits, blocks, stem
 
@@ -295,31 +300,23 @@ class AdaptableModel(ParamsMixin):
     # -- training (pre-deployment only) -------------------------------------
 
     def _forward_train(self, X: np.ndarray):
-        """Forward pass with cached intermediates for backprop (zero offsets)."""
+        """Forward pass with cached intermediates for backprop (zero offsets).
+
+        The cache is ``(h_in, n, xhat, inv_std)`` per layer, in layer order,
+        plus the activations that enter the head.
+        """
         w = self.weights
-        cache = {"X": X}
-        if self.config.kind == "mlp":
-            h = X
-            for layer in ("layer1", "layer2"):
-                z = h @ w[f"{layer}.w"] + w[f"{layer}.b"]
-                n, xhat, inv_std = _layer_norm(z, w[f"{layer}.ln_scale"], w[f"{layer}.ln_bias"])
-                a = np.maximum(n, 0.0)
-                cache[layer] = (h, n, xhat, inv_std)
-                h = a
-        else:
-            z0 = X @ w["stem.w"] + w["stem.b"]
-            h, xhat, inv_std = _layer_norm(z0, w["stem.ln_scale"], w["stem.ln_bias"])
-            cache["stem"] = (X, None, xhat, inv_std)
-            for i in range(1, self.config.blocks + 1):
-                name = f"block{i}"
-                h_in = h
-                z = h_in @ w[f"{name}.w"] + w[f"{name}.b"]
-                n, xhat, inv_std = _layer_norm(z, w[f"{name}.ln_scale"], w[f"{name}.ln_bias"])
-                h = h_in + np.maximum(n, 0.0)
-                cache[name] = (h_in, n, xhat, inv_std)
-        cache["pre_head"] = h
+        per_layer = []
+        h = X
+        for layer in self.layers:
+            name = layer.name
+            z = h @ w[f"{name}.w"] + w[f"{name}.b"]
+            n, xhat, inv_std = _layer_norm(z, w[f"{name}.ln_scale"], w[f"{name}.ln_bias"])
+            per_layer.append((h, n, xhat, inv_std))
+            a = np.maximum(n, 0.0) if layer.relu else n
+            h = h + a if layer.skip else a
         logits = h @ w["head.w"] + w["head.b"]
-        return logits, cache
+        return logits, (per_layer, h)
 
     @staticmethod
     def _layer_norm_backward(d_out, xhat, inv_std, scale):
@@ -333,69 +330,39 @@ class AdaptableModel(ParamsMixin):
         )
         return d_z, d_scale, d_bias
 
-    def _backward(self, cache: dict, d_logits: np.ndarray) -> dict:
+    def _backward(self, cache, d_logits: np.ndarray) -> dict:
         w = self.weights
-        grads = {}
-        h = cache["pre_head"]
-        grads["head.w"] = h.T @ d_logits
-        grads["head.b"] = d_logits.sum(axis=0)
+        per_layer, h = cache
+        grads = {"head.w": h.T @ d_logits, "head.b": d_logits.sum(axis=0)}
         d_h = d_logits @ w["head.w"].T
-        if self.config.kind == "mlp":
-            for layer in ("layer2", "layer1"):
-                h_in, n, xhat, inv_std = cache[layer]
-                d_n = d_h * (n > 0)
-                d_z, d_scale, d_bias = self._layer_norm_backward(
-                    d_n, xhat, inv_std, w[f"{layer}.ln_scale"]
-                )
-                grads[f"{layer}.ln_scale"] = d_scale
-                grads[f"{layer}.ln_bias"] = d_bias
-                grads[f"{layer}.w"] = h_in.T @ d_z
-                grads[f"{layer}.b"] = d_z.sum(axis=0)
-                d_h = d_z @ w[f"{layer}.w"].T
-        else:
-            for i in range(self.config.blocks, 0, -1):
-                name = f"block{i}"
-                h_in, n, xhat, inv_std = cache[name]
-                d_n = d_h * (n > 0)
-                d_z, d_scale, d_bias = self._layer_norm_backward(
-                    d_n, xhat, inv_std, w[f"{name}.ln_scale"]
-                )
-                grads[f"{name}.ln_scale"] = d_scale
-                grads[f"{name}.ln_bias"] = d_bias
-                grads[f"{name}.w"] = h_in.T @ d_z
-                grads[f"{name}.b"] = d_z.sum(axis=0)
-                d_h = d_h + d_z @ w[f"{name}.w"].T  # skip connection
-            X, _, xhat, inv_std = cache["stem"]
+        for layer, (h_in, n, xhat, inv_std) in zip(reversed(self.layers), reversed(per_layer)):
+            name = layer.name
+            d_n = d_h * (n > 0) if layer.relu else d_h
             d_z, d_scale, d_bias = self._layer_norm_backward(
-                d_h, xhat, inv_std, w["stem.ln_scale"]
+                d_n, xhat, inv_std, w[f"{name}.ln_scale"]
             )
-            grads["stem.ln_scale"] = d_scale
-            grads["stem.ln_bias"] = d_bias
-            grads["stem.w"] = X.T @ d_z
-            grads["stem.b"] = d_z.sum(axis=0)
+            grads[f"{name}.ln_scale"] = d_scale
+            grads[f"{name}.ln_bias"] = d_bias
+            grads[f"{name}.w"] = h_in.T @ d_z
+            grads[f"{name}.b"] = d_z.sum(axis=0)
+            d_in = d_z @ w[f"{name}.w"].T
+            d_h = d_h + d_in if layer.skip else d_in
         return grads
 
 
 def _init_weights(config: ArchitectureConfig, rng: np.random.Generator) -> dict:
-    w, c, n = config.width, config.class_count, config.in_dim
+    w, c = config.width, config.class_count
     weights = {}
 
     def linear(name, fan_in, fan_out):
         weights[f"{name}.w"] = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
         weights[f"{name}.b"] = np.zeros(fan_out)
 
-    if config.kind == "mlp":
-        linear("layer1", n, w)
-        linear("layer2", w, w)
-        norm_layers = ["layer1", "layer2"]
-    else:
-        linear("stem", n, w)
-        for i in range(1, config.blocks + 1):
-            linear(f"block{i}", w, w)
-        norm_layers = config.norm_layers()
-    for layer in norm_layers:
-        weights[f"{layer}.ln_scale"] = np.ones(w)
-        weights[f"{layer}.ln_bias"] = np.zeros(w)
+    # the draw order (layers in list order, then the head) fixes every pretrained weight
+    for layer in config.layers():
+        linear(layer.name, layer.fan_in, w)
+        weights[f"{layer.name}.ln_scale"] = np.ones(w)
+        weights[f"{layer.name}.ln_bias"] = np.zeros(w)
     linear("head", w, c)
     return weights
 

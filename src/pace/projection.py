@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import (
-    ParamsMixin,
-    check_array,
-    check_positive_int,
-    is_power_of_two,
-    next_power_of_two,
-)
+from .validation import check_array, check_positive_int, is_power_of_two, next_power_of_two
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +113,7 @@ def _build_block(seed: int, block_index: int, size: int) -> FastfoodBlock:
     return FastfoodBlock(b_signs=b_signs, g_gauss=g_gauss, perm=perm, s_scale=s_scale)
 
 
-class FastfoodProjector(ParamsMixin):
+class FastfoodProjector:
     """Deterministic linear map from R^d to R^D built from stacked Fastfood blocks.
 
     The input is zero-padded to the next power of two, pushed through
@@ -200,11 +194,3 @@ class FastfoodProjector(ParamsMixin):
 
     def __repr__(self) -> str:
         return f"FastfoodProjector(d={self.d}, D={self.D}, seed={self.seed})"
-
-
-def build_projector(d: int, D: int, seed: int = 0) -> FastfoodProjector:
-    return FastfoodProjector(d=d, D=D, seed=seed)
-
-
-def project(projector: FastfoodProjector, v) -> np.ndarray:
-    return projector.project(v)

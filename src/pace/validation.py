@@ -59,34 +59,3 @@ def next_power_of_two(n: int) -> int:
         raise ValueError(f"expected a positive integer, got {n}")
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
-
-class ParamsMixin:
-    """Minimal get_params/set_params support (scikit-learn protocol).
-
-    Parameter names are taken from the ``__init__`` signature, so classes
-    using this mixin must store each constructor argument under the same
-    attribute name (derived attributes may exist alongside).
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        import inspect
-
-        sig = inspect.signature(cls.__init__)
-        return [
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        unknown = set(params) - valid
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        merged = {**self.get_params(), **params}
-        self.__init__(**merged)
-        return self

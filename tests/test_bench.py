@@ -13,6 +13,7 @@ from pace.bench.run import (
     RunConfig,
     RunReport,
     compare,
+    controller_config_for_method,
     load_summary,
     run_prepared,
     standard_domain_sequence,
@@ -76,6 +77,11 @@ class TestRunConfig:
         assert a.stream_fingerprint() == b.stream_fingerprint()
         assert a.stream_fingerprint() != c.stream_fingerprint()
         assert a.stream_fingerprint() != d.stream_fingerprint()
+
+    def test_always_and_v1_presets_share_one_configuration(self):
+        always = controller_config_for_method(RunConfig(method="pace-always"), gamma=0.1)
+        v1 = controller_config_for_method(RunConfig(method="pace-v1"), gamma=0.1)
+        assert always == v1 and always.epsilon == 0.0 and not always.shift_while_adapting
 
     def test_standard_sequence_is_four_domains(self):
         seq = standard_domain_sequence()

@@ -205,28 +205,6 @@ class TestConvergence:
         assert best < 1e-6
 
 
-class TestBestCandidate:
-    def test_returns_minimum(self):
-        ranked = [RankedCandidate(np.array([float(i)]), f) for i, f in enumerate([3.0, 1.0, 2.0])]
-        assert cmaes.best_candidate(ranked) is ranked[1]
-
-    def test_tie_breaks_to_lowest_index(self):
-        ranked = [RankedCandidate(np.array([float(i)]), 1.0) for i in range(4)]
-        assert cmaes.best_candidate(ranked) is ranked[0]
-
-    def test_nan_ranked_last(self):
-        ranked = [
-            RankedCandidate(np.array([0.0]), np.nan),
-            RankedCandidate(np.array([1.0]), 5.0),
-            RankedCandidate(np.array([2.0]), 7.0),
-        ]
-        assert cmaes.best_candidate(ranked) is ranked[1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cmaes.best_candidate([])
-
-
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         state = cmaes.init(6, m0=np.arange(6.0), tau0=0.3, population_size=8)

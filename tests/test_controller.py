@@ -13,27 +13,9 @@ from pace.controller import (
     PaceController,
     calibrate_gamma,
     shift_score,
-    should_stop,
     update_ema,
 )
 from pace.fitness import FitnessConfig, fitness
-
-
-class TestShouldStop:
-    def test_identical_nonzero_means(self):
-        m = np.array([1.0, 2.0])
-        assert should_stop(m, m.copy(), epsilon=0.045) is True
-
-    def test_origin_guard(self):
-        assert should_stop(np.zeros(3), np.ones(3), epsilon=np.inf) is False
-
-    def test_direct_arithmetic(self):
-        assert should_stop([1.0, 0.0], [1.1, 0.0], epsilon=0.045) is False
-        assert should_stop([1.0, 0.0], [1.04, 0.0], epsilon=0.045) is True
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            should_stop([1.0], [1.0, 2.0], epsilon=0.1)
 
 
 class TestUpdateEma:
@@ -284,6 +266,21 @@ class TestProcessBatch:
         assert telem.batches == telem.adapted_batches + telem.frozen_batches == 60
         assert telem.shifts_detected >= 1
 
+    def test_identity_counts_batches_across_a_rejected_batch(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 30)], seed=14)
+        for batch in generate_stream(stream_cfg):
+            if batch.index == 3:
+                with pytest.raises(ValueError):
+                    controller.process_batch(np.full_like(batch.features, np.nan))
+            controller.process_batch(batch.features)
+        telem = controller.telemetry
+        assert telem.batches == 30
+        assert telem.identity_holds(config.population_size)
+        telem.batches += 1  # a batch counted on neither path breaks the identity
+        assert not telem.identity_holds(config.population_size)
+
     def test_all_candidates_non_finite_served_by_zero_offset(
         self, adapted_setup, monkeypatch
     ):
@@ -344,17 +341,6 @@ class TestProcessBatch:
         np.testing.assert_array_equal(probs, probs_all[best])
         assert report.fitness_best == pytest.approx(scores[best])
 
-    def test_stopping_disabled_never_freezes(self, adapted_setup):
-        model, stats, config = adapted_setup
-        from dataclasses import replace
-
-        controller = PaceController(model, stats, replace(config, stop_enabled=False))
-        stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 60)], seed=9)
-        for batch in generate_stream(stream_cfg):
-            _, report = controller.process_batch(batch.features)
-            assert report.mode == ADAPTING
-        assert controller.telemetry.frozen_batches == 0
-
     def test_epsilon_zero_never_stops(self, adapted_setup):
         model, stats, config = adapted_setup
         from dataclasses import replace
@@ -369,7 +355,7 @@ class TestProcessBatch:
         model, stats, config = adapted_setup
         from dataclasses import replace
 
-        cfg = replace(config, stop_enabled=False, shift_while_adapting=True)
+        cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
         controller = PaceController(model, stats, cfg)
         stream_cfg = _stream_config(
             [DomainSpec("feature_scale", 1.8, 50), DomainSpec("feature_scale", 0.4, 5)],
@@ -418,14 +404,6 @@ class TestProcessBatch:
             ControllerConfig(gamma=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(tau0=-1.0)
-
-    def test_predict_api(self, adapted_setup):
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
-        batch = np.random.default_rng(3).standard_normal((6, 2))
-        labels = controller.predict(batch)
-        assert labels.shape == (6,)
-        assert set(labels) <= {0, 1, 2}
 
 
 class TestBaseWeightImmutability:

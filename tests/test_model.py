@@ -30,6 +30,73 @@ def mlp_model():
     return AdaptableModel(cfg, _init_weights(cfg, rng))
 
 
+def _reference_train(model: AdaptableModel, X, onehot):
+    """Logits and gradients, each architecture written out on its own in plain numpy.
+
+    This is the per-architecture training code the single layer loop
+    replaced, kept as the reference it must match bit for bit.
+    """
+    w = model.weights
+
+    def layer_norm(z, layer):
+        mu = z.mean(axis=1, keepdims=True)
+        var = z.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (z - mu) * inv_std
+        return xhat * w[f"{layer}.ln_scale"] + w[f"{layer}.ln_bias"], xhat, inv_std
+
+    def layer_norm_backward(d_out, xhat, inv_std, layer):
+        d_xhat = d_out * w[f"{layer}.ln_scale"]
+        d_z = inv_std * (
+            d_xhat
+            - d_xhat.mean(axis=1, keepdims=True)
+            - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
+        )
+        return d_z, (d_out * xhat).sum(axis=0), d_out.sum(axis=0)
+
+    grads = {}
+
+    def layer_backward(layer, d_out, h_in, xhat, inv_std):
+        """Fills the layer's gradients; returns the gradient of its input."""
+        d_z, grads[f"{layer}.ln_scale"], grads[f"{layer}.ln_bias"] = layer_norm_backward(
+            d_out, xhat, inv_std, layer
+        )
+        grads[f"{layer}.w"] = h_in.T @ d_z
+        grads[f"{layer}.b"] = d_z.sum(axis=0)
+        return d_z @ w[f"{layer}.w"].T
+
+    cache = {}
+    if model.config.kind == "mlp":
+        h = X
+        for layer in ("layer1", "layer2"):
+            n, xhat, inv_std = layer_norm(h @ w[f"{layer}.w"] + w[f"{layer}.b"], layer)
+            cache[layer] = (h, n, xhat, inv_std)
+            h = np.maximum(n, 0.0)
+        logits = h @ w["head.w"] + w["head.b"]
+        d_logits = (_softmax(logits) - onehot) / X.shape[0]
+        d_h = d_logits @ w["head.w"].T
+        for layer in ("layer2", "layer1"):
+            h_in, n, xhat, inv_std = cache[layer]
+            d_h = layer_backward(layer, d_h * (n > 0), h_in, xhat, inv_std)
+    else:
+        blocks = [f"block{i}" for i in range(1, model.config.blocks + 1)]
+        h, stem_xhat, stem_inv_std = layer_norm(X @ w["stem.w"] + w["stem.b"], "stem")
+        for layer in blocks:
+            n, xhat, inv_std = layer_norm(h @ w[f"{layer}.w"] + w[f"{layer}.b"], layer)
+            cache[layer] = (h, n, xhat, inv_std)
+            h = h + np.maximum(n, 0.0)
+        logits = h @ w["head.w"] + w["head.b"]
+        d_logits = (_softmax(logits) - onehot) / X.shape[0]
+        d_h = d_logits @ w["head.w"].T
+        for layer in reversed(blocks):
+            h_in, n, xhat, inv_std = cache[layer]
+            d_h = d_h + layer_backward(layer, d_h * (n > 0), h_in, xhat, inv_std)
+        layer_backward("stem", d_h, X, stem_xhat, stem_inv_std)
+    grads["head.w"] = h.T @ d_logits
+    grads["head.b"] = d_logits.sum(axis=0)
+    return logits, grads
+
+
 def two_blob_data(n=600, seed=0):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, n)
@@ -49,6 +116,22 @@ class TestLayout:
         layers = [layer for layer, _, _ in mlp_model.norm_param_layout]
         assert layers == ["layer1", "layer1", "layer2", "layer2"]
         assert mlp_model.offset_dim == 2 * 2 * 8
+
+    def test_layer_lists(self):
+        mlp = ArchitectureConfig(kind="mlp", in_dim=3, class_count=2, width=8).layers()
+        assert [(x.name, x.fan_in, x.relu, x.skip, x.adaptable) for x in mlp] == [
+            ("layer1", 3, True, False, True),
+            ("layer2", 8, True, False, True),
+        ]
+        residual = ArchitectureConfig(
+            kind="residual", in_dim=3, class_count=2, width=8, blocks=3
+        ).layers()
+        assert [(x.name, x.fan_in, x.relu, x.skip, x.adaptable) for x in residual] == [
+            ("stem", 3, False, False, False),
+            ("block1", 8, True, True, True),
+            ("block2", 8, True, True, True),
+            ("block3", 8, True, True, False),
+        ]
 
     def test_block_and_stem_dimensions(self, residual_model, mlp_model):
         assert residual_model.block_count == 4
@@ -262,6 +345,26 @@ class TestGradients:
                 arr[idx] = orig
                 fd = (up - down) / (2 * eps)
                 assert grads[key][idx] == pytest.approx(fd, abs=1e-5)
+
+    @pytest.mark.parametrize("kind", ["mlp", "residual"])
+    def test_layer_loop_matches_per_architecture_reference(self, kind):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+        cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=7, blocks=3)
+        # perturb every weight so that scales, biases and ReLU masks all matter
+        weights = {
+            k: v + 0.3 * rng.standard_normal(v.shape)
+            for k, v in _init_weights(cfg, rng).items()
+        }
+        model = AdaptableModel(cfg, weights)
+        X = rng.standard_normal((11, 3))
+        onehot = np.eye(4)[rng.integers(0, 4, 11)]
+        ref_logits, ref_grads = _reference_train(model, X, onehot)
+        logits, cache = model._forward_train(X)
+        grads = model._backward(cache, (_softmax(logits) - onehot) / 11)
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert set(grads) == set(ref_grads) == set(model.weights)
+        for key, grad in grads.items():
+            np.testing.assert_array_equal(grad, ref_grads[key], err_msg=key)
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pace.projection import FastfoodProjector, build_projector, fwht, project
+from pace.projection import FastfoodProjector, fwht
 
 
 def naive_hadamard(n: int) -> np.ndarray:
@@ -133,10 +133,6 @@ class TestBuildProjector:
             rtol=1e-12,
         )
 
-    def test_build_projector_function(self):
-        p = build_projector(3, 10, seed=1)
-        assert (p.d, p.D, p.seed) == (3, 10, 1)
-
 
 class TestProject:
     def test_zero_maps_to_zero(self):
@@ -188,11 +184,6 @@ class TestProject:
         for i in range(6):
             np.testing.assert_array_equal(out[i], p.project(V[i]))
 
-    def test_module_level_project(self):
-        p = FastfoodProjector(d=4, D=4, seed=0)
-        v = np.ones(4)
-        np.testing.assert_array_equal(project(p, v), p.project(v))
-
 
 class TestGaussianApproximation:
     def test_moments_match_dense_reference(self):
@@ -227,7 +218,3 @@ class TestSerialization:
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             FastfoodProjector.from_json('{"schema_version": 99, "d": 1, "D": 1, "seed": 0}')
-
-    def test_get_params(self):
-        p = FastfoodProjector(d=9, D=33, seed=99)
-        assert p.get_params() == {"d": 9, "D": 33, "seed": 99}
