@@ -83,18 +83,25 @@ def shift_score(a: EmaStats, b: EmaStats, variance_floor: float = 1e-8) -> float
     variance) pair; variances are floored to keep degenerate batches from
     producing infinities.  Identical statistics score exactly 0.
     """
-    mean_a = check_array(a.mean, "mean")
-    mean_b = check_array(b.mean, "mean", length=mean_a.shape[-1])
+    # the checks of check_array, without its wrapper calls: this runs on every frozen batch
+    mean_a = np.asarray(a.mean, dtype=np.float64)
+    if not np.isfinite(mean_a).all():
+        raise ValueError("mean contains non-finite values")
+    mean_b = np.asarray(b.mean, dtype=np.float64)
+    if mean_b.shape[-1] != mean_a.shape[-1]:
+        raise ValueError(f"mean must have length {mean_a.shape[-1]}, got {mean_b.shape[-1]}")
+    if not np.isfinite(mean_b).all():
+        raise ValueError("mean contains non-finite values")
     var_a = np.asarray(a.var, dtype=np.float64)
     var_b = np.asarray(b.var, dtype=np.float64)
-    if np.any(var_a < 0) or np.any(var_b < 0):
+    if (var_a < 0).any() or (var_b < 0).any():
         raise ValueError("variances must be non-negative")
     va = np.maximum(var_a, variance_floor)
     vb = np.maximum(var_b, variance_floor)
     delta2 = (mean_a - mean_b) ** 2
     # KL(a||b) + KL(b||a) in closed form; the log terms cancel
     per_feature = (va + delta2) / (2 * vb) + (vb + delta2) / (2 * va) - 1.0
-    return float(per_feature.mean())
+    return float(np.add.reduce(per_feature, axis=None) / per_feature.size)
 
 
 def calibrate_gamma(scores, percentile: float = 99.5, headroom: float = 2.5) -> float:
@@ -211,7 +218,9 @@ class PaceController:
         return EmaStats(stats.stem_mean.copy(), stats.stem_var.copy())
 
     def _score_against_ema(self, batch_stats: EmaStats) -> float:
-        if self.ema is None:
+        """Shift score; nan (no shift) before any EMA or when a finite batch overflows its stem."""
+        finite = np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()
+        if self.ema is None or not finite:
             return np.nan
         return shift_score(self.ema, batch_stats)
 
@@ -306,8 +315,6 @@ class PaceController:
     def _process_frozen(self, batch, index):
         cfg = self.config
         probs, stats = self.model.forward(self.frozen_offset, batch)
-        self.telemetry.frozen_batches += 1
-        self.telemetry.forward_passes += 1
         forward_passes = 1
         if stats.finite:
             best_fitness = fitness(probs, stats, self.source_stats, self.fitness_config)
@@ -322,6 +329,8 @@ class PaceController:
             forward_passes += result.forward_passes
             # detector restarts from the shifted batch
             self.ema = EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
+        self.telemetry.frozen_batches += 1
+        self.telemetry.forward_passes += 1
         return probs, BatchReport(
             batch_index=index,
             mode=FROZEN,

@@ -19,6 +19,13 @@ them: every forward call takes an offset vector (or a population of them, one
 per row) that is partitioned across the adaptable normalization scale/bias
 vectors and added functionally.
 
+Each layer works in place: the bias add, the normalization, the affine, the
+ReLU and the skip connection overwrite the array the layer's GEMM created
+instead of allocating one array per step.  The ufuncs, their operands and
+their order are those of the allocating expressions, so every output is
+bit-identical to them; only the destinations differ.  The caller's batch and
+offsets are never written.
+
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally; adaptation itself never computes gradients.
 """
@@ -122,37 +129,40 @@ class SourceStats:
     sample_count: int = 0
 
 
-def _moments(x, axis):
-    """Mean, centred ``x`` and variance along ``axis`` (kept).
+def _moments(x):
+    """Per-feature mean and variance over the batch axis, the second to last.
 
-    The same operations as ``np.mean`` and ``np.var``, so bit-identical to
-    them, but the mean is summed once and their Python wrappers are skipped;
-    with ``np.mean``/``np.var`` a frozen toy-mlp forward (B=64) took about
-    0.42 ms instead of 0.30 ms on a 2-CPU x86 box.
+    ``x`` itself is left untouched: the centred copy, the one full-size array
+    this allocates, is squared in place.  The same operations as ``np.mean`` and
+    ``np.var``, so bit-identical to them, but the mean is summed once and the
+    Python wrappers are skipped; with ``np.mean``/``np.var`` a frozen toy-mlp
+    forward (B=64) took about 0.42 ms instead of 0.30 ms on a 2-CPU x86 box.
     """
-    n = x.shape[axis]
-    mean = np.add.reduce(x, axis=axis, keepdims=True) / n
-    centred = x - mean
-    return mean, centred, np.add.reduce(centred * centred, axis=axis, keepdims=True) / n
+    n = x.shape[-2]
+    mean = np.add.reduce(x, axis=-2, keepdims=True) / n
+    squares = x - mean
+    squares *= squares
+    return mean[..., 0, :], np.add.reduce(squares, axis=-2) / n
 
 
-def _batch_moments(x):
-    """Per-feature mean and variance over the batch axis, the second to last."""
-    mean, _, var = _moments(x, -2)
-    return mean[..., 0, :], var[..., 0, :]
+def _normalize(z):
+    """Layer-normalize ``z`` over its last axis in place, leaving ``xhat`` in it.
 
-
-def _layer_norm(z, scale, bias):
-    """Normalize over the last axis; ``scale``/``bias`` may add a population axis."""
-    _, centred, var = _moments(z, -1)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centred * inv_std
-    return xhat * scale + bias, xhat, inv_std
+    Returns ``inv_std``.  The ufuncs and their order are those of
+    ``(z - mean) * (1 / sqrt(var + eps))``, so ``xhat`` is bit-identical to it.
+    """
+    n = z.shape[-1]
+    z -= np.add.reduce(z, axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / n + _LN_EPS)
+    z *= inv_std
+    return inv_std
 
 
 def _linear(h, weight, bias):
-    """``h @ weight + bias`` as one GEMM over all leading axes of ``h``."""
-    return (h.reshape(-1, h.shape[-1]) @ weight + bias).reshape(*h.shape[:-1], -1)
+    """``h @ weight + bias`` as one GEMM over all leading axes of ``h``, bias added in place."""
+    z = h.reshape(-1, h.shape[-1]) @ weight
+    z += bias
+    return z.reshape(*h.shape[:-1], -1)
 
 
 def _softmax(logits):
@@ -238,8 +248,9 @@ class AdaptableModel:
         batch and are shared by all K candidates: the mlp's first linear
         layer and its normalized activations, the residual model's fixed stem
         and its first block's linear layer.  From there on activations are
-        ``(K, B, w)`` and each linear layer is one ``(K*B, w)`` GEMM.  Only
-        the moments of a block output are kept, not the output itself.
+        ``(K, B, w)`` and each linear layer is one ``(K*B, w)`` GEMM whose
+        result the rest of the layer overwrites.  Only the moments of a block
+        output are kept, not the output itself.
         """
         w = self.weights
         h = X
@@ -247,14 +258,22 @@ class AdaptableModel:
         blocks = []
         for layer in self.layers:
             z = _linear(h, w[f"{layer.name}.w"], w[f"{layer.name}.b"])
-            n, _, _ = _layer_norm(z, *self._norm_params(offsets, layer.name))
             if stem is None:
-                stem = _batch_moments(z)
+                stem = _moments(z)  # before z is normalized in place
+            _normalize(z)
+            scale, bias = self._norm_params(offsets, layer.name)
+            if scale.ndim > z.ndim:
+                z = z * scale  # the population axis enters: a new (K, B, w) array
+            else:
+                z *= scale
+            z += bias
             if layer.relu:
-                n = np.maximum(n, 0.0)
-            h = h + n if layer.skip else n
+                np.maximum(z, 0.0, out=z)
+            if layer.skip:
+                z += h  # IEEE addition commutes, so bitwise equal to h + z
+            h = z
             if layer.relu:
-                blocks.append(_batch_moments(h))
+                blocks.append(_moments(h))
         logits = _linear(h, w["head.w"], w["head.b"])
         return logits, blocks, stem
 
@@ -310,12 +329,15 @@ class AdaptableModel:
         h = X
         for layer in self.layers:
             name = layer.name
-            z = h @ w[f"{name}.w"] + w[f"{name}.b"]
-            n, xhat, inv_std = _layer_norm(z, w[f"{name}.ln_scale"], w[f"{name}.ln_bias"])
+            xhat = _linear(h, w[f"{name}.w"], w[f"{name}.b"])
+            inv_std = _normalize(xhat)
+            # a new array: backward reads both xhat and n
+            n = xhat * w[f"{name}.ln_scale"]
+            n += w[f"{name}.ln_bias"]
             per_layer.append((h, n, xhat, inv_std))
             a = np.maximum(n, 0.0) if layer.relu else n
             h = h + a if layer.skip else a
-        logits = h @ w["head.w"] + w["head.b"]
+        logits = _linear(h, w["head.w"], w["head.b"])
         return logits, (per_layer, h)
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pace.controller as ctrl
+from pace.bench.run import controller_config_for_method
 from pace.bench.stream import DomainSpec, StreamConfig, generate_stream
 from pace.controller import (
     ADAPTING,
@@ -280,6 +281,38 @@ class TestProcessBatch:
         assert telem.identity_holds(config.population_size)
         telem.batches += 1  # a batch counted on neither path breaks the identity
         assert not telem.identity_holds(config.population_size)
+
+    def test_overflowing_frozen_batch_is_served_without_moving_state(self, standard_assets):
+        config, model, stats, gamma = standard_assets
+        controller_cfg = controller_config_for_method(config, gamma)
+        batches = [batch.features for batch in generate_stream(config.stream_config())][:120]
+        clean = PaceController(model, stats, controller_cfg)
+        hit = PaceController(model, stats, controller_cfg)
+        injected = False
+        for batch in batches:
+            if hit.mode == FROZEN and not injected:
+                bad = batch.copy()
+                bad[:, 0] = 1e307  # finite, so it passes validation; the stem mean overflows
+                _, report = hit.process_batch(bad)
+                assert report.mode == FROZEN and not report.shift_detected
+                assert np.isnan(report.shift_score)
+                assert hit.telemetry.identity_holds(controller_cfg.population_size)
+                injected = True
+            probs_clean, report_clean = clean.process_batch(batch)
+            probs, report = hit.process_batch(batch)
+            np.testing.assert_array_equal(probs, probs_clean)
+            assert report.batch_index == report_clean.batch_index + injected
+            np.testing.assert_equal(
+                {**vars(report), "batch_index": 0}, {**vars(report_clean), "batch_index": 0}
+            )
+        assert injected and clean.telemetry.shifts_detected >= 1
+        telem = hit.telemetry
+        assert telem.identity_holds(controller_cfg.population_size)
+        assert (telem.batches, telem.frozen_batches, telem.forward_passes) == (
+            clean.telemetry.batches + 1,
+            clean.telemetry.frozen_batches + 1,
+            clean.telemetry.forward_passes + 1,
+        )
 
     def test_all_candidates_non_finite_served_by_zero_offset(
         self, adapted_setup, monkeypatch

@@ -9,6 +9,8 @@ so the bound on fitness, chosen before measuring, is exact equality.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,19 +82,34 @@ def _reference_transform(p: FastfoodProjector, V: np.ndarray) -> np.ndarray:
     return np.concatenate(pieces, axis=1)[:, : p.D]
 
 
-def _model(kind: str, seed: int) -> tuple[AdaptableModel, object]:
-    cfg = ArchitectureConfig(kind=kind, in_dim=5, class_count=4, width=16, blocks=4)
+def _model(
+    kind: str, seed: int, in_dim: int = 5, width: int = 16, blocks: int = 4
+) -> tuple[AdaptableModel, object]:
+    cfg = ArchitectureConfig(kind=kind, in_dim=in_dim, class_count=4, width=width, blocks=blocks)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     model = AdaptableModel(cfg, _init_weights(cfg, rng))
-    source = compute_source_stats(model, [rng.standard_normal((64, 5)) for _ in range(4)])
+    source = compute_source_stats(model, [rng.standard_normal((64, in_dim)) for _ in range(4)])
     return model, source
 
 
-@pytest.mark.parametrize("kind", ["mlp", "residual"])
-def test_population_forward_and_fitness_match_per_candidate_loop(kind):
-    model, source = _model(kind, seed=3)
+# the benchmark's wide shape: offset_dim 3584, the population enters at block1's
+# affine and the fixed last block sees (K, B, w) activations
+WIDE = dict(kind="residual", in_dim=32, width=256, blocks=8)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(dict(kind="mlp"), id="mlp"),
+        pytest.param(dict(kind="residual"), id="residual"),
+        pytest.param(WIDE, id="wide"),
+    ],
+)
+def test_population_forward_and_fitness_match_per_candidate_loop(shape):
+    model, source = _model(seed=3, **shape)
+    in_dim, width = model.config.in_dim, model.config.width
     rng = np.random.default_rng(4)
-    X = 1.5 * rng.standard_normal((64, 5))
+    X = 1.5 * rng.standard_normal((64, in_dim))
     offsets = 0.3 * rng.standard_normal((12, model.offset_dim))
     offsets[7] = 1e308  # drives this candidate non-finite
     config = FitnessConfig(0.4)
@@ -101,7 +118,7 @@ def test_population_forward_and_fitness_match_per_candidate_loop(kind):
     scores = fitness(probs, stats, source, config)
     assert probs.shape == (12, 64, 4) and scores.shape == (12,)
     assert stats.finite.shape == (12,) and stats.finite.dtype == bool
-    assert all(m.shape == (12, 16) for m in stats.means + stats.stds)
+    assert all(m.shape == (12, width) for m in stats.means + stats.stds)
 
     for k in range(12):
         ref_probs, ref_means, ref_stds, ref_finite = _reference_forward(model, offsets[k], X)
@@ -117,6 +134,36 @@ def test_population_forward_and_fitness_match_per_candidate_loop(kind):
             assert scores[k] == ref_score
             assert fitness(single_probs, single_stats, source, config) == ref_score
     assert not stats.finite[7] and stats.finite.sum() == 11
+
+
+@pytest.mark.parametrize("kind", ["mlp", "residual"])
+def test_forward_leaves_batch_and_offsets_untouched(kind):
+    model, _ = _model(kind, seed=9)
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((32, 5))
+    for shape in ((model.offset_dim,), (3, model.offset_dim)):
+        offsets = rng.standard_normal(shape)
+        X_before, offsets_before = X.copy(), offsets.copy()
+        model.forward(offsets, X)
+        np.testing.assert_array_equal(X, X_before)
+        np.testing.assert_array_equal(offsets, offsets_before)
+
+
+def test_wide_population_forward_peak_allocation():
+    """Each layer overwrites the arrays it creates: few ``(K, B, w)`` arrays are alive at once."""
+    model, _ = _model(seed=11, **WIDE)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((64, 32))
+    offsets = 0.1 * rng.standard_normal((12, model.offset_dim))
+    activation_bytes = 12 * 64 * 256 * 8
+    model.forward(offsets, X)  # warm-up, so that no one-off allocation is counted
+    tracemalloc.start()
+    try:
+        model.forward(offsets, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * activation_bytes, peak / activation_bytes
 
 
 @pytest.mark.parametrize("kind", ["mlp", "residual"])
