@@ -83,15 +83,8 @@ def shift_score(a: EmaStats, b: EmaStats, variance_floor: float = 1e-8) -> float
     variance) pair; variances are floored to keep degenerate batches from
     producing infinities.  Identical statistics score exactly 0.
     """
-    # the checks of check_array, without its wrapper calls: this runs on every frozen batch
-    mean_a = np.asarray(a.mean, dtype=np.float64)
-    if not np.isfinite(mean_a).all():
-        raise ValueError("mean contains non-finite values")
-    mean_b = np.asarray(b.mean, dtype=np.float64)
-    if mean_b.shape[-1] != mean_a.shape[-1]:
-        raise ValueError(f"mean must have length {mean_a.shape[-1]}, got {mean_b.shape[-1]}")
-    if not np.isfinite(mean_b).all():
-        raise ValueError("mean contains non-finite values")
+    mean_a = check_array(a.mean, "mean")
+    mean_b = check_array(b.mean, "mean", length=mean_a.shape[-1])
     var_a = np.asarray(a.var, dtype=np.float64)
     var_b = np.asarray(b.var, dtype=np.float64)
     if (var_a < 0).any() or (var_b < 0).any():
@@ -217,10 +210,14 @@ class PaceController:
     def _stem_stats(self, stats) -> EmaStats:
         return EmaStats(stats.stem_mean.copy(), stats.stem_var.copy())
 
+    @staticmethod
+    def _finite(batch_stats: EmaStats) -> bool:
+        """False when a finite batch overflows its stem moments."""
+        return bool(np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all())
+
     def _score_against_ema(self, batch_stats: EmaStats) -> float:
-        """Shift score; nan (no shift) before any EMA or when a finite batch overflows its stem."""
-        finite = np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()
-        if self.ema is None or not finite:
+        """Shift score; nan (no shift) before any EMA or for overflowing stem statistics."""
+        if self.ema is None or not self._finite(batch_stats):
             return np.nan
         return shift_score(self.ema, batch_stats)
 
@@ -295,7 +292,8 @@ class PaceController:
             self.ema = EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
         else:
             self.cmaes_state, rel_change = cmaes.update(self.cmaes_state, candidates)
-            self.ema = update_ema(self.ema, batch_stats, cfg.beta)
+            if self._finite(batch_stats):  # overflowing statistics would poison the EMA for good
+                self.ema = update_ema(self.ema, batch_stats, cfg.beta)
             # inf from the origin, so never below epsilon there; epsilon 0 never stops
             if rel_change < cfg.epsilon:
                 self.mode = FROZEN

@@ -22,7 +22,7 @@ def check_array(
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if length is not None and arr.shape[-1] != length:
         raise ValueError(f"{name} must have length {length}, got {arr.shape[-1]}")
-    if finite and not np.all(np.isfinite(arr)):
+    if finite and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

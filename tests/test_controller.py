@@ -282,7 +282,7 @@ class TestProcessBatch:
         telem.batches += 1  # a batch counted on neither path breaks the identity
         assert not telem.identity_holds(config.population_size)
 
-    def test_overflowing_frozen_batch_is_served_without_moving_state(self, standard_assets):
+    def test_overflowing_frozen_batch_is_served_and_counted_once(self, standard_assets):
         config, model, stats, gamma = standard_assets
         controller_cfg = controller_config_for_method(config, gamma)
         batches = [batch.features for batch in generate_stream(config.stream_config())][:120]
@@ -313,6 +313,29 @@ class TestProcessBatch:
             clean.telemetry.frozen_batches + 1,
             clean.telemetry.forward_passes + 1,
         )
+
+    def test_overflowing_adapting_batch_stays_out_of_the_ema(self, standard_assets):
+        config, model, stats, gamma = standard_assets
+        controller_cfg = controller_config_for_method(config, gamma)
+        batches = [batch.features for batch in generate_stream(config.stream_config())][:120]
+        controller = PaceController(model, stats, controller_cfg)
+        for index, batch in enumerate(batches):
+            if index == 3:
+                assert controller.mode == ADAPTING
+                ema_before = EmaStats(controller.ema.mean.copy(), controller.ema.var.copy())
+                bad = batch.copy()
+                bad[:, 0] = 1e307  # finite, so it passes validation; the stem mean overflows
+                probs, report = controller.process_batch(bad)
+                assert np.isfinite(probs).all()
+                assert report.mode == ADAPTING and not report.shift_detected
+                assert np.isnan(report.shift_score)
+                np.testing.assert_array_equal(controller.ema.mean, ema_before.mean)
+                np.testing.assert_array_equal(controller.ema.var, ema_before.var)
+            controller.process_batch(batch)
+            assert np.isfinite(controller.ema.mean).all() and np.isfinite(controller.ema.var).all()
+        telem = controller.telemetry
+        assert telem.batches == 121 and telem.shifts_detected >= 1
+        assert telem.identity_holds(controller_cfg.population_size)
 
     def test_all_candidates_non_finite_served_by_zero_offset(
         self, adapted_setup, monkeypatch
