@@ -30,10 +30,14 @@ FROZEN = "frozen"
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the adaptation loop; defaults target the desk-scale benchmark.
+    """Knobs of the adaptation loop.
 
-    ``epsilon = 0`` never stops adapting, so the detector and the bank then
-    run only with ``shift_while_adapting``.
+    The defaults are a library starting point, not the benchmark's settings:
+    ``pace run`` and the benchmark build their config from ``RunConfig``
+    (``tau0=0.05``, ``epsilon=0.1``) with
+    ``pace.bench.run.controller_config_for_method``.  ``epsilon = 0`` never
+    stops adapting, so the detector and the bank then run only with
+    ``shift_while_adapting``.
     """
 
     dim: int = 32
@@ -158,6 +162,7 @@ class PaceController:
 
     ``process_batch`` consumes unlabeled batches in temporal order and returns
     class probabilities; between batches all state mutation is sequential.
+    The controller is FROZEN exactly while it holds a frozen offset.
     """
 
     def __init__(
@@ -165,16 +170,11 @@ class PaceController:
         model: AdaptableModel,
         source_stats: SourceStats,
         config: ControllerConfig = ControllerConfig(),
-        projector: FastfoodProjector | None = None,
     ):
         self.model = model
         self.source_stats = source_stats
         self.config = config
-        self.projector = projector or FastfoodProjector(
-            d=config.dim, D=model.offset_dim, seed=config.seed
-        )
-        if self.projector.d != config.dim or self.projector.D != model.offset_dim:
-            raise ValueError("projector dimensions do not match controller/model")
+        self.projector = FastfoodProjector(d=config.dim, D=model.offset_dim, seed=config.seed)
         self.fitness_config = FitnessConfig(lambda_weight=config.lambda_weight)
         self.cmaes_state = cmaes.init(
             config.dim, tau0=config.tau0, population_size=config.population_size
@@ -183,62 +183,75 @@ class PaceController:
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(7,)))
         )
-        self.mode = ADAPTING
         self.frozen_offset: np.ndarray | None = None
         self.ema: EmaStats | None = None
         self.telemetry = Telemetry()
         self._batch_index = 0
 
+    @property
+    def mode(self) -> str:
+        return ADAPTING if self.frozen_offset is None else FROZEN
+
     # -- public API ----------------------------------------------------------
 
     def process_batch(self, batch) -> tuple[np.ndarray, BatchReport]:
         """Serve one batch; a batch that fails validation raises before any state moves."""
-        index = self._batch_index
-        if self.mode == ADAPTING:
+        mode = self.mode
+        if self.frozen_offset is None:
             # the candidate draw comes before the first forward, so check here
             batch = check_batch(batch, "batch", width=self.model.config.in_dim)
-            probs, report = self._process_adapting(batch, index)
+            outcome = self._process_adapting(batch)
         else:
             # the frozen forward checks the batch before any state moves
-            probs, report = self._process_frozen(batch, index)
+            outcome = self._process_frozen(batch)
+        probs, fitness_best, rel_change, score, shift, forward_passes = outcome
+        report = BatchReport(
+            batch_index=self._batch_index,
+            mode=mode,
+            fitness_best=float(fitness_best),
+            rel_mean_change=float(rel_change),
+            shift_score=float(score),
+            shift_detected=shift,
+            forward_passes=forward_passes,
+        )
         self._batch_index += 1
         self.telemetry.batches += 1
+        self.telemetry.forward_passes += forward_passes
         return probs, report
 
     # -- internals -----------------------------------------------------------
 
-    def _stem_stats(self, stats) -> EmaStats:
-        return EmaStats(stats.stem_mean.copy(), stats.stem_var.copy())
+    def _detect(self, stats) -> tuple[EmaStats | None, float, bool]:
+        """Batch stem statistics (None when they overflow), shift score and shift decision.
 
-    @staticmethod
-    def _finite(batch_stats: EmaStats) -> bool:
-        """False when a finite batch overflows its stem moments."""
-        return bool(np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all())
+        The score is nan, and no shift is seen, before any EMA exists and for
+        overflowing statistics, which would poison the EMA for good.
+        """
+        batch_stats = EmaStats(stats.stem_mean, stats.stem_var)
+        if not (np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()):
+            return None, np.nan, False
+        if self.ema is None:
+            return batch_stats, np.nan, False
+        score = shift_score(self.ema, batch_stats)
+        return batch_stats, score, bool(np.isfinite(score) and score > self.config.gamma)
 
-    def _score_against_ema(self, batch_stats: EmaStats) -> float:
-        """Shift score; nan (no shift) before any EMA or for overflowing stem statistics."""
-        if self.ema is None or not self._finite(batch_stats):
-            return np.nan
-        return shift_score(self.ema, batch_stats)
+    def _shift(self, batch, batch_stats: EmaStats) -> int:
+        """Archive the mean, restart search and detector from the bank and the batch.
 
-    def _reinitialize_from_bank(self, batch, mean_to_archive: np.ndarray):
-        """Archive the given mean, retrieve a warm start, reset search and detector EMA."""
-        self.bank.archive(mean_to_archive)
+        Returns the forward passes the bank's retrieval cost.
+        """
+        self.telemetry.shifts_detected += 1
+        self.bank.archive(self.cmaes_state.mean)
         result = self.bank.retrieve_init(
-            batch,
-            self.model,
-            self.projector,
-            self.source_stats,
-            self.fitness_config,
+            batch, self.model, self.projector, self.source_stats, self.fitness_config
         )
         self.telemetry.retrieval_forwards += result.forward_passes
-        self.telemetry.forward_passes += result.forward_passes
         self.cmaes_state = cmaes.reinitialized(self.cmaes_state, result.vector, self.config.tau0)
-        self.mode = ADAPTING
         self.frozen_offset = None
-        return result
+        self.ema = batch_stats
+        return result.forward_passes
 
-    def _process_adapting(self, batch, index):
+    def _process_adapting(self, batch):
         cfg = self.config
         population = cmaes.sample_population(self.cmaes_state, self.rng)
         bad_rows = ~np.all(np.isfinite(population), axis=1)
@@ -250,91 +263,43 @@ class PaceController:
         probs, stats = self.model.forward(offsets, batch)
         scores = fitness(probs, stats, self.source_stats, self.fitness_config)
         scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
-        candidates = [
-            cmaes.RankedCandidate(population[k], float(scores[k]))
-            for k in range(cfg.population_size)
-        ]
         self.telemetry.adapted_batches += 1
-        self.telemetry.forward_passes += cfg.population_size
-
-        if not np.any(np.isfinite(scores)):
+        forward_passes = cfg.population_size
+        if not np.isfinite(scores).any():
             # degenerate batch: serve the unadapted model, keep all state
             probs, _ = self.model.forward(self.model.zero_offset(), batch)
             self.telemetry.rescue_forwards += 1
-            self.telemetry.forward_passes += 1
-            return probs, BatchReport(
-                batch_index=index,
-                mode=ADAPTING,
-                fitness_best=np.nan,
-                rel_mean_change=np.nan,
-                shift_score=np.nan,
-                shift_detected=False,
-                forward_passes=cfg.population_size + 1,
-            )
+            return probs, np.nan, np.nan, np.nan, False, forward_passes + 1
 
         best = int(np.argmin(scores))
         predictions = probs[best].copy()  # a view would keep all K candidates alive
-        batch_stats = self._stem_stats(stats)
-        score_u = self._score_against_ema(batch_stats)
-        forward_passes = cfg.population_size
-
-        shift = (
-            cfg.shift_while_adapting
-            and self.ema is not None
-            and np.isfinite(score_u)
-            and score_u > cfg.gamma
-        )
+        batch_stats, score, shift = self._detect(stats)
+        shift = shift and cfg.shift_while_adapting
         rel_change = np.nan
         if shift:
-            self.telemetry.shifts_detected += 1
-            result = self._reinitialize_from_bank(batch, self.cmaes_state.mean.copy())
-            forward_passes += result.forward_passes
-            self.ema = EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
+            forward_passes += self._shift(batch, batch_stats)
         else:
+            candidates = [
+                cmaes.RankedCandidate(population[k], float(scores[k]))
+                for k in range(cfg.population_size)
+            ]
             self.cmaes_state, rel_change = cmaes.update(self.cmaes_state, candidates)
-            if self._finite(batch_stats):  # overflowing statistics would poison the EMA for good
+            if batch_stats is not None:
                 self.ema = update_ema(self.ema, batch_stats, cfg.beta)
             # inf from the origin, so never below epsilon there; epsilon 0 never stops
             if rel_change < cfg.epsilon:
-                self.mode = FROZEN
                 self.frozen_offset = self.projector.project(self.cmaes_state.mean)
                 self.telemetry.stops += 1
+        return predictions, scores[best], rel_change, score, shift, forward_passes
 
-        return predictions, BatchReport(
-            batch_index=index,
-            mode=ADAPTING,
-            fitness_best=float(scores[best]),
-            rel_mean_change=float(rel_change),
-            shift_score=float(score_u),
-            shift_detected=bool(shift),
-            forward_passes=forward_passes,
-        )
-
-    def _process_frozen(self, batch, index):
-        cfg = self.config
+    def _process_frozen(self, batch):
         probs, stats = self.model.forward(self.frozen_offset, batch)
         forward_passes = 1
+        best_fitness = np.nan
         if stats.finite:
             best_fitness = fitness(probs, stats, self.source_stats, self.fitness_config)
-        else:
-            best_fitness = np.nan
-        batch_stats = self._stem_stats(stats)
-        score_u = self._score_against_ema(batch_stats)
-        shift = np.isfinite(score_u) and score_u > cfg.gamma
+        batch_stats, score, shift = self._detect(stats)
         if shift:
-            self.telemetry.shifts_detected += 1
-            result = self._reinitialize_from_bank(batch, self.cmaes_state.mean.copy())
-            forward_passes += result.forward_passes
-            # detector restarts from the shifted batch
-            self.ema = EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
+            forward_passes += self._shift(batch, batch_stats)
         self.telemetry.frozen_batches += 1
-        self.telemetry.forward_passes += 1
-        return probs, BatchReport(
-            batch_index=index,
-            mode=FROZEN,
-            fitness_best=float(best_fitness),
-            rel_mean_change=np.nan,
-            shift_score=float(score_u),
-            shift_detected=bool(shift),
-            forward_passes=forward_passes,
-        )
+        return probs, best_fitness, np.nan, score, shift, forward_passes

@@ -85,18 +85,9 @@ class FastfoodBlock:
         if not np.all(self.s_scale > 0):
             raise ValueError("s_scale entries must be positive")
 
-    @property
-    def size(self) -> int:
-        return self.b_signs.shape[0]
 
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.b_signs.nbytes + self.g_gauss.nbytes + self.perm.nbytes + self.s_scale.nbytes
-        )
-
-
-def _build_block(seed: int, block_index: int, size: int) -> FastfoodBlock:
+def _block_factors(seed: int, block_index: int, size: int) -> tuple[np.ndarray, ...]:
+    """One block's signs, Gaussian diagonal, permutation and row scaling."""
     signs_rng = _component_rng(seed, block_index, _TAG_SIGNS)
     gauss_rng = _component_rng(seed, block_index, _TAG_GAUSS)
     perm_rng = _component_rng(seed, block_index, _TAG_PERM)
@@ -110,7 +101,7 @@ def _build_block(seed: int, block_index: int, size: int) -> FastfoodBlock:
     chi = np.sqrt(scale_rng.chisquare(df=size, size=size))
     g_rms = np.sqrt(np.sum(g_gauss**2) / size)
     s_scale = chi / g_rms
-    return FastfoodBlock(b_signs=b_signs, g_gauss=g_gauss, perm=perm, s_scale=s_scale)
+    return b_signs, g_gauss, perm, s_scale
 
 
 class FastfoodProjector:
@@ -128,13 +119,13 @@ class FastfoodProjector:
         self.seed = int(seed)
         self.d_padded = next_power_of_two(self.d)
         n_blocks = -(-self.D // self.d_padded)  # ceil
-        self.blocks = tuple(_build_block(self.seed, i, self.d_padded) for i in range(n_blocks))
         # each factor of all blocks stacked to (n_blocks, d_padded), so one
         # transform pushes every row through every block at once
-        self._signs, self._gauss, self._perms, self._scales = (
-            np.stack(factor)
-            for factor in zip(*((b.b_signs, b.g_gauss, b.perm, b.s_scale) for b in self.blocks))
-        )
+        per_block = (_block_factors(self.seed, i, self.d_padded) for i in range(n_blocks))
+        stacked = tuple(np.stack(factor) for factor in zip(*per_block))
+        self._signs, self._gauss, self._perms, self._scales = stacked
+        # the blocks are row views of the stacked factors, so each factor is held once
+        self.blocks = tuple(FastfoodBlock(*rows) for rows in zip(*stacked))
         # makes the composite approximately entrywise N(0, 1/d)
         self._output_scale = 1.0 / (self.d_padded * np.sqrt(self.d))
 
@@ -145,7 +136,7 @@ class FastfoodProjector:
     @property
     def stored_nbytes(self) -> int:
         """Bytes held by the block factors (the dense equivalent is D*d floats)."""
-        return sum(block.nbytes for block in self.blocks)
+        return sum(f.nbytes for f in (self._signs, self._gauss, self._perms, self._scales))
 
     def dense_equivalent_nbytes(self, itemsize: int = 4) -> int:
         return self.D * self.d * itemsize

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,10 @@ def _stream_config(specs, seed=0, **overrides):
     return StreamConfig(domain_sequence=tuple(specs), **base)
 
 
+# config overrides under which the boundary shift is seen while frozen / while adapting
+SHIFT_WHILE = {FROZEN: {}, ADAPTING: dict(epsilon=0.0, shift_while_adapting=True)}
+
+
 @pytest.fixture(scope="module")
 def adapted_setup(tiny_setup):
     _, model, stats = tiny_setup
@@ -185,8 +191,10 @@ class TestProcessBatch:
         assert controller.telemetry.shifts_detected == 1
         assert controller.telemetry.identity_holds(config.population_size)
 
-    def test_post_shift_mean_matches_retrieval_argmin(self, adapted_setup):
+    @pytest.mark.parametrize("mode", SHIFT_WHILE)
+    def test_post_shift_mean_matches_retrieval_argmin(self, adapted_setup, mode):
         model, stats, config = adapted_setup
+        config = replace(config, **SHIFT_WHILE[mode])
         controller = PaceController(model, stats, config)
         stream_cfg = _stream_config(
             [DomainSpec("feature_scale", 1.8, 80), DomainSpec("feature_scale", 0.4, 1)],
@@ -196,7 +204,7 @@ class TestProcessBatch:
         archived_before = None
         for batch in batches[:-1]:
             controller.process_batch(batch.features)
-        assert controller.mode == FROZEN
+        assert controller.mode == mode
         mean_at_stop = controller.cmaes_state.mean.copy()
         bank_before = [v.copy() for v in controller.bank.vectors]
         _, report = controller.process_batch(batches[-1].features)
@@ -214,15 +222,18 @@ class TestProcessBatch:
         _, st = model.forward(model.zero_offset(), batches[-1].features)
         np.testing.assert_array_equal(controller.ema.mean, st.stem_mean)
 
-    def test_shift_resets_search_distribution(self, adapted_setup):
+    @pytest.mark.parametrize("mode", SHIFT_WHILE)
+    def test_shift_resets_search_distribution(self, adapted_setup, mode):
         model, stats, config = adapted_setup
+        config = replace(config, **SHIFT_WHILE[mode])
         controller = PaceController(model, stats, config)
         stream_cfg = _stream_config(
             [DomainSpec("feature_scale", 1.8, 80), DomainSpec("feature_scale", 0.4, 1)],
             seed=8,
         )
         for batch in generate_stream(stream_cfg):
-            controller.process_batch(batch.features)
+            _, report = controller.process_batch(batch.features)
+        assert report.mode == mode and report.shift_detected
         state = controller.cmaes_state
         np.testing.assert_array_equal(state.covariance, np.eye(config.dim))
         assert state.step_size == config.tau0
@@ -399,8 +410,6 @@ class TestProcessBatch:
 
     def test_epsilon_zero_never_stops(self, adapted_setup):
         model, stats, config = adapted_setup
-        from dataclasses import replace
-
         controller = PaceController(model, stats, replace(config, epsilon=0.0))
         stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 40)], seed=10)
         for batch in generate_stream(stream_cfg):
@@ -409,8 +418,6 @@ class TestProcessBatch:
 
     def test_shift_while_adapting_archives_and_restarts(self, adapted_setup):
         model, stats, config = adapted_setup
-        from dataclasses import replace
-
         cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
         controller = PaceController(model, stats, cfg)
         stream_cfg = _stream_config(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ class TestBuildProjector:
         assert p.n_blocks == 9
         assert p.stored_nbytes < 1_000_000  # < 1 MB stored
         assert p.dense_equivalent_nbytes() > 300_000_000  # ~306 MB dense float32
+
+    def test_block_factors_are_held_once(self):
+        FastfoodProjector(d=8, D=20, seed=1)  # numpy's first Philox use allocates caches
+        tracemalloc.start()
+        try:
+            p = FastfoodProjector(d=2304, D=34800, seed=5)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stacked = (p._signs, p._gauss, p._perms, p._scales)
+        for blk in p.blocks:
+            factors = (blk.b_signs, blk.g_gauss, blk.perm, blk.s_scale)
+            for factor, whole in zip(factors, stacked):
+                assert np.shares_memory(factor, whole)
+        assert live <= 1.05 * p.stored_nbytes
 
     def test_exact_fit_single_block(self):
         p = FastfoodProjector(d=4, D=4, seed=0)
