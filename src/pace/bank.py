@@ -25,7 +25,6 @@ class RetrievalResult:
     vector: np.ndarray
     forward_passes: int
     fitnesses: list[float]
-    all_non_finite: bool = False
 
 
 def mean_pairwise_cosine(vectors: list[np.ndarray]) -> np.ndarray:
@@ -81,34 +80,20 @@ class VectorBank:
         return self
 
     def retrieve_init(
-        self,
-        batch,
-        model,
-        projector,
-        source_stats,
-        fitness_config: FitnessConfig,
-        include_zero: bool = True,
+        self, batch, model, projector, source_stats, fitness_config: FitnessConfig
     ) -> RetrievalResult:
-        """Warm-start vector: fitness argmin over the bank (and the fresh start).
+        """Warm-start vector: fitness argmin over the zero vector and the bank.
 
         All candidates are projected in one ``transform`` and scored in one
         population ``forward`` and one ``fitness`` call; each still counts as
-        one logical forward pass in the reported count.  If every candidate
-        evaluates non-finite, the zero vector is returned with a warning flag.
+        one logical forward pass in the reported count.  The zero vector comes
+        first, so it wins ties and is returned when every candidate evaluates
+        non-finite (their scores are all ``inf``).
         """
-        candidates = []
-        if include_zero:
-            candidates.append(np.zeros(self.dim))
-        candidates.extend(self.vectors)
-        if not candidates:
-            return RetrievalResult(np.zeros(self.dim), 0, [])
+        candidates = [np.zeros(self.dim), *self.vectors]
         probs, stats = model.forward(projector.transform(np.stack(candidates)), batch)
         scores = fitness(probs, stats, source_stats, fitness_config)
         scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
-        if not np.any(np.isfinite(scores)):
-            return RetrievalResult(
-                np.zeros(self.dim), len(candidates), scores.tolist(), all_non_finite=True
-            )
         best = int(np.argmin(scores))
         return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist())
 

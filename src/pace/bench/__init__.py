@@ -17,7 +17,6 @@ from .run import (
     run,
     run_prepared,
     standard_domain_sequence,
-    sweep_presets,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "run",
     "run_prepared",
     "standard_domain_sequence",
-    "sweep_presets",
 ]

@@ -5,12 +5,14 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..controller import (
+    FROZEN,
+    BatchReport,
     ControllerConfig,
     EmaStats,
     PaceController,
@@ -184,9 +186,7 @@ class RunConfig:
         return cls.from_mapping(mapping)
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        out = asdict(self)
         if not out["domain_sequence"]:
             out["domain_sequence"] = format_domain_sequence(standard_domain_sequence())
         return out
@@ -204,6 +204,10 @@ def _coerce(raw, field_spec):
     if field_spec.type in ("float", float, "float | None"):
         return float(text)
     return text
+
+
+# per-domain / per-round summary fields, keyed by int in memory
+_INT_KEYED = ("per_domain_accuracy", "per_round_accuracy", "adapted_batches_per_round")
 
 
 @dataclass
@@ -225,47 +229,26 @@ class RunReport:
     telemetry: dict
     batches: list[dict] = field(repr=False, default_factory=list)
 
+    @classmethod
+    def _summary_fields(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.name != "batches"]
+
     def summary_dict(self) -> dict:
+        """The ``summary.json`` record: the schema version, then every field but ``batches``."""
         return {
             "schema_version": SUMMARY_SCHEMA_VERSION,
-            "method": self.method,
-            "seed": self.seed,
-            "stream_fingerprint": self.stream_fingerprint,
-            "gamma": self.gamma,
-            "overall_accuracy": self.overall_accuracy,
-            "per_domain_accuracy": {str(k): v for k, v in self.per_domain_accuracy.items()},
-            "per_round_accuracy": {str(k): v for k, v in self.per_round_accuracy.items()},
-            "adapted_fraction": self.adapted_fraction,
-            "adapted_batches_per_round": {
-                str(k): v for k, v in self.adapted_batches_per_round.items()
-            },
-            "total_forward_passes": self.total_forward_passes,
-            "identity_ok": self.identity_ok,
-            "wall_seconds": self.wall_seconds,
-            "telemetry": self.telemetry,
+            **{name: getattr(self, name) for name in self._summary_fields()},
         }
 
     @classmethod
     def from_summary_dict(cls, record: dict) -> "RunReport":
+        """Inverse of ``summary_dict``; extra keys such as ``config`` are ignored."""
         if record.get("schema_version") != SUMMARY_SCHEMA_VERSION:
             raise ValueError(f"unsupported summary schema: {record.get('schema_version')}")
-        return cls(
-            method=record["method"],
-            seed=record["seed"],
-            stream_fingerprint=record["stream_fingerprint"],
-            gamma=record["gamma"],
-            overall_accuracy=record["overall_accuracy"],
-            per_domain_accuracy={int(k): v for k, v in record["per_domain_accuracy"].items()},
-            per_round_accuracy={int(k): v for k, v in record["per_round_accuracy"].items()},
-            adapted_fraction=record["adapted_fraction"],
-            adapted_batches_per_round={
-                int(k): v for k, v in record["adapted_batches_per_round"].items()
-            },
-            total_forward_passes=record["total_forward_passes"],
-            identity_ok=record["identity_ok"],
-            wall_seconds=record["wall_seconds"],
-            telemetry=record["telemetry"],
-        )
+        kwargs = {name: record[name] for name in cls._summary_fields()}
+        for name in _INT_KEYED:  # JSON object keys are strings
+            kwargs[name] = {int(k): v for k, v in kwargs[name].items()}
+        return cls(**kwargs)
 
 
 def prepare_assets(config: RunConfig) -> tuple[AdaptableModel, SourceStats, float]:
@@ -367,18 +350,12 @@ def run_prepared(
         features = batch.features  # labels and domain id stay on the metrics side
         if controller is None:
             probs = model.forward(zero, features)[0]
-            row = {
-                "batch_index": batch.index,
-                "mode": "frozen",
-                "fitness_best": np.nan,
-                "rel_mean_change": np.nan,
-                "U": np.nan,
-                "shift_detected": False,
-                "forward_passes": 1,
-            }
+            report = BatchReport(batch.index, FROZEN, np.nan, np.nan, np.nan, False, 1)
         else:
             probs, report = controller.process_batch(features)
-            row = {
+        predictions = np.argmax(probs, axis=1)
+        rows.append(
+            {
                 "batch_index": report.batch_index,
                 "mode": report.mode,
                 "fitness_best": report.fitness_best,
@@ -386,14 +363,13 @@ def run_prepared(
                 "U": report.shift_score,
                 "shift_detected": report.shift_detected,
                 "forward_passes": report.forward_passes,
+                "accuracy_if_labels_available": float(
+                    100.0 * np.mean(predictions == batch.labels)
+                ),
+                "domain_id": batch.domain_id,
+                "round": batch.index // batches_per_round,
             }
-        predictions = np.argmax(probs, axis=1)
-        row["accuracy_if_labels_available"] = float(
-            100.0 * np.mean(predictions == batch.labels)
         )
-        row["domain_id"] = batch.domain_id
-        row["round"] = batch.index // batches_per_round
-        rows.append(row)
     wall = time.perf_counter() - start
 
     if controller is not None:
@@ -489,17 +465,3 @@ def compare(report_a: RunReport, report_b: RunReport) -> dict:
 def load_summary(path) -> RunReport:
     with open(path, "r", encoding="utf-8") as fh:
         return RunReport.from_summary_dict(json.load(fh))
-
-
-def sweep_presets(base: RunConfig | None = None) -> dict[str, list[RunConfig]]:
-    """Hyperparameter sweep grids over the stopping threshold, subspace
-    dimensionality, bank capacity and shift threshold, anchored at the
-    defaults.  Each grid varies one knob of the fixed base configuration.
-    """
-    base = base or RunConfig()
-    return {
-        "epsilon": [replace(base, epsilon=e) for e in (0.045, 0.08, 0.1, 0.125, 0.14)],
-        "dim": [replace(base, dim=d) for d in (8, 16, 32, 64)],
-        "bank_capacity": [replace(base, bank_capacity=p) for p in (0, 5, 15, 30, 40, 50)],
-        "gamma": [replace(base, gamma=g) for g in (0.05, 0.1, 0.2, 0.4, 0.8)],
-    }

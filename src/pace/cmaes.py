@@ -19,8 +19,6 @@ import numpy as np
 
 from .validation import check_array, check_positive, check_positive_int
 
-STATE_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class RankedCandidate:
@@ -78,10 +76,6 @@ class CmaesState:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def recomb_weights(self) -> np.ndarray:
-        return self.hyper.weights
 
 
 def _repair_and_factorize(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,43 +224,3 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
 def reinitialized(state: CmaesState, m0, tau0: float) -> CmaesState:
     """Fresh search distribution warm-started at ``m0`` (identity covariance)."""
     return init(state.dim, m0=m0, tau0=tau0, population_size=state.population_size)
-
-
-def save_state(path, state: CmaesState) -> None:
-    """Checkpoint the state (covariance stored as its lower triangle)."""
-    d = state.dim
-    tril = state.covariance[np.tril_indices(d)]
-    np.savez(
-        path,
-        schema_version=np.array([STATE_SCHEMA_VERSION]),
-        mean=state.mean,
-        step_size=np.array([state.step_size]),
-        cov_tril=tril,
-        path_sigma=state.path_sigma,
-        path_c=state.path_c,
-        iteration=np.array([state.iteration]),
-        population_size=np.array([state.population_size]),
-    )
-
-
-def load_state(path) -> CmaesState:
-    with np.load(path) as data:
-        version = int(data["schema_version"][0])
-        if version != STATE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported state schema: {version}")
-        mean = data["mean"]
-        d = mean.shape[0]
-        cov = np.zeros((d, d))
-        cov[np.tril_indices(d)] = data["cov_tril"]
-        cov = cov + np.tril(cov, -1).T
-        hyper = Hyperparameters.defaults(d, int(data["population_size"][0]))
-        return _with_factorization(
-            mean=mean,
-            step_size=float(data["step_size"][0]),
-            covariance=cov,
-            path_sigma=data["path_sigma"],
-            path_c=data["path_c"],
-            iteration=int(data["iteration"][0]),
-            population_size=int(data["population_size"][0]),
-            hyper=hyper,
-        )

@@ -222,18 +222,23 @@ class PaceController:
     # -- internals -----------------------------------------------------------
 
     def _detect(self, stats) -> tuple[EmaStats | None, float, bool]:
-        """Batch stem statistics (None when they overflow), shift score and shift decision.
+        """Batch stem statistics to blend into the EMA, shift score and shift decision.
 
         The score is nan, and no shift is seen, before any EMA exists and for
-        overflowing statistics, which would poison the EMA for good.
+        overflowing statistics.  Overflowing statistics, and statistics whose
+        score against the EMA is not finite, come back as None: blended in,
+        they would poison the EMA for good.
         """
         batch_stats = EmaStats(stats.stem_mean, stats.stem_var)
         if not (np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()):
             return None, np.nan, False
         if self.ema is None:
             return batch_stats, np.nan, False
-        score = shift_score(self.ema, batch_stats)
-        return batch_stats, score, bool(np.isfinite(score) and score > self.config.gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = shift_score(self.ema, batch_stats)
+        if not np.isfinite(score):
+            return None, score, False
+        return batch_stats, score, score > self.config.gamma
 
     def _shift(self, batch, batch_stats: EmaStats) -> int:
         """Archive the mean, restart search and detector from the bank and the batch.

@@ -15,18 +15,16 @@ unit-variance outputs.
 
 All randomness is drawn from counter-based Philox streams keyed by
 ``(seed, block_index, component_tag)``: blocks are mutually independent,
-reproducible across platforms, and regenerable from the seed alone.
+reproducible across platforms, and regenerable from the seed alone, so a
+projector is never persisted: ``FastfoodProjector(d, D, seed)`` rebuilds it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .validation import check_array, check_positive_int, is_power_of_two, next_power_of_two
-
-SCHEMA_VERSION = 1
 
 # component tags for the per-block random streams
 _TAG_SIGNS = 0
@@ -161,27 +159,6 @@ class FastfoodProjector:
         """Project a single vector of length ``d`` to length ``D``."""
         v = check_array(v, "v", ndim=1, length=self.d)
         return self.transform(v[None, :])[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"schema_version": SCHEMA_VERSION, "d": self.d, "D": self.D, "seed": self.seed}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FastfoodProjector":
-        record = json.loads(text)
-        if record.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported projector schema: {record.get('schema_version')}")
-        return cls(d=record["d"], D=record["D"], seed=record["seed"])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "FastfoodProjector":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
     def __repr__(self) -> str:
         return f"FastfoodProjector(d={self.d}, D={self.D}, seed={self.seed})"

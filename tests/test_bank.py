@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import pace.bank
 from pace.bank import VectorBank, mean_pairwise_cosine
 from pace.fitness import FitnessConfig, fitness
 from pace.projection import FastfoodProjector
@@ -174,29 +175,21 @@ class TestRetrieveInit:
         np.testing.assert_array_equal(result.vector, np.zeros(8))
         assert result.fitnesses[0] <= result.fitnesses[1]
 
-    def test_paper_faithful_mode_excludes_zero(self, tiny_setup):
+    def test_all_non_finite_falls_back_to_zero_with_flag(self, tiny_setup, monkeypatch):
+        # every candidate, the zero vector included, scores nan: the zero
+        # vector still wins because it comes first
         _, model, stats = tiny_setup
         proj = FastfoodProjector(8, model.offset_dim, seed=0)
         bank = VectorBank(8, capacity=2)
-        bank.archive(np.full(8, 50.0))
-        batch = np.random.default_rng(2).standard_normal((16, 2))
-        result = bank.retrieve_init(
-            batch, model, proj, stats, FitnessConfig(0.4), include_zero=False
+        bank.archive(np.full(8, 0.1))
+        monkeypatch.setattr(
+            pace.bank, "fitness", lambda probs, *args: np.full(probs.shape[0], np.nan)
         )
-        np.testing.assert_array_equal(result.vector, np.full(8, 50.0))
-        assert result.forward_passes == 1
-
-    def test_all_non_finite_falls_back_to_zero_with_flag(self, tiny_setup):
-        _, model, stats = tiny_setup
-        proj = FastfoodProjector(8, model.offset_dim, seed=0)
-        bank = VectorBank(8, capacity=2)
-        bank.archive(np.full(8, 1e300))
         batch = np.random.default_rng(3).standard_normal((8, 2))
-        result = bank.retrieve_init(
-            batch, model, proj, stats, FitnessConfig(0.4), include_zero=False
-        )
-        assert result.all_non_finite is True
+        result = bank.retrieve_init(batch, model, proj, stats, FitnessConfig(0.4))
         np.testing.assert_array_equal(result.vector, np.zeros(8))
+        assert result.forward_passes == 2
+        assert result.fitnesses == [np.inf, np.inf]
 
 
 class TestPersistence:

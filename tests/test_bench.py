@@ -280,34 +280,21 @@ class TestEvaluationIsolation:
 
 
 class TestSummarySchema:
+    def test_load_summary_restores_every_field_but_batches(
+        self, standard_assets, fast_config, tmp_path
+    ):
+        _, model, stats, gamma = standard_assets
+        config = replace(fast_config, method="pace", out_dir=str(tmp_path))
+        report = run_prepared(config, model, stats, gamma)
+        loaded = load_summary(tmp_path / "summary.json")
+        assert loaded.batches == []
+        assert replace(loaded, batches=report.batches) == report
+
     def test_rejects_unknown_schema_version(self, tmp_path):
         path = tmp_path / "summary.json"
         path.write_text('{"schema_version": 42}')
         with pytest.raises(ValueError, match="schema"):
             load_summary(path)
-
-
-class TestSweepPresets:
-    def test_grids_vary_one_knob_each(self):
-        from pace.bench.run import sweep_presets
-
-        grids = sweep_presets()
-        assert set(grids) == {"epsilon", "dim", "bank_capacity", "gamma"}
-        base = RunConfig()
-        for name, configs in grids.items():
-            values = [getattr(c, name) for c in configs]
-            assert len(set(values)) == len(values)  # distinct grid points
-            for c in configs:
-                for other in ("epsilon", "dim", "bank_capacity", "gamma"):
-                    if other != name:
-                        assert getattr(c, other) == getattr(base, other)
-
-    def test_presets_share_the_stream(self):
-        from pace.bench.run import sweep_presets
-
-        grids = sweep_presets()
-        fingerprints = {c.stream_fingerprint() for cs in grids.values() for c in cs}
-        assert len(fingerprints) == 1
 
 
 class TestRingsTask:

@@ -62,7 +62,7 @@ class TestInit:
 
     def test_weights_non_increasing_and_normalized(self):
         state = cmaes.init(10, tau0=1.0, population_size=12)
-        w = state.recomb_weights
+        w = state.hyper.weights
         assert np.all(np.diff(w) <= 0)
         assert w.sum() == pytest.approx(1.0)
         assert np.all(w > 0)
@@ -134,7 +134,7 @@ class TestUpdate:
         order = np.argsort([r.fitness for r in ranked], kind="stable")
         mu = state.hyper.mu
         expected = np.zeros(4)
-        for w, idx in zip(state.recomb_weights, order[:mu]):
+        for w, idx in zip(state.hyper.weights, order[:mu]):
             expected += w * ranked[idx].vector
         new_state, _ = cmaes.update(state, ranked)
         np.testing.assert_allclose(new_state.mean, expected, atol=1e-12)
@@ -203,26 +203,3 @@ class TestConvergence:
             target=1e-6, seed=1,
         )
         assert best < 1e-6
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        state = cmaes.init(6, m0=np.arange(6.0), tau0=0.3, population_size=8)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            pop = cmaes.sample_population(state, rng)
-            state, _ = cmaes.update(state, [RankedCandidate(v, float(sphere(v))) for v in pop])
-        path = tmp_path / "state.npz"
-        cmaes.save_state(path, state)
-        loaded = cmaes.load_state(path)
-        np.testing.assert_array_equal(loaded.mean, state.mean)
-        np.testing.assert_allclose(loaded.covariance, state.covariance, atol=1e-15)
-        np.testing.assert_array_equal(loaded.path_sigma, state.path_sigma)
-        np.testing.assert_array_equal(loaded.path_c, state.path_c)
-        assert loaded.step_size == state.step_size
-        assert loaded.iteration == state.iteration
-        assert loaded.population_size == state.population_size
-        # resumed sampling matches
-        a = cmaes.sample_population(state, np.random.default_rng(1))
-        b = cmaes.sample_population(loaded, np.random.default_rng(1))
-        np.testing.assert_allclose(a, b, atol=1e-12)

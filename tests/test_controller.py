@@ -325,7 +325,14 @@ class TestProcessBatch:
             clean.telemetry.forward_passes + 1,
         )
 
-    def test_overflowing_adapting_batch_stays_out_of_the_ema(self, standard_assets):
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(1e307, id="stats-overflow"),  # the stem mean overflows: nan score
+            pytest.param(1e160, id="score-overflow"),  # finite stem stats, inf score
+        ],
+    )
+    def test_overflowing_adapting_batch_stays_out_of_the_ema(self, standard_assets, value):
         config, model, stats, gamma = standard_assets
         controller_cfg = controller_config_for_method(config, gamma)
         batches = [batch.features for batch in generate_stream(config.stream_config())][:120]
@@ -335,11 +342,11 @@ class TestProcessBatch:
                 assert controller.mode == ADAPTING
                 ema_before = EmaStats(controller.ema.mean.copy(), controller.ema.var.copy())
                 bad = batch.copy()
-                bad[:, 0] = 1e307  # finite, so it passes validation; the stem mean overflows
+                bad[:, 0] = value  # finite, so it passes validation
                 probs, report = controller.process_batch(bad)
                 assert np.isfinite(probs).all()
                 assert report.mode == ADAPTING and not report.shift_detected
-                assert np.isnan(report.shift_score)
+                assert not np.isfinite(report.shift_score)
                 np.testing.assert_array_equal(controller.ema.mean, ema_before.mean)
                 np.testing.assert_array_equal(controller.ema.var, ema_before.var)
             controller.process_batch(batch)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -215,22 +214,3 @@ class TestGaussianApproximation:
         dense_var = (V @ W.T).var(axis=0).mean()
         fast_var = Y.var(axis=0).mean()
         assert abs(fast_var - dense_var) / dense_var < 0.15
-
-
-class TestSerialization:
-    def test_round_trip_reproduces_outputs(self, tmp_path):
-        p = FastfoodProjector(d=9, D=33, seed=99)
-        path = tmp_path / "projector.json"
-        p.save(path)
-        q = FastfoodProjector.load(path)
-        v = np.linspace(-1, 1, 9)
-        np.testing.assert_array_equal(p.project(v), q.project(v))
-
-    def test_record_is_self_describing_without_matrices(self, tmp_path):
-        p = FastfoodProjector(d=9, D=33, seed=99)
-        record = json.loads(p.to_json())
-        assert set(record) == {"schema_version", "d", "D", "seed"}
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            FastfoodProjector.from_json('{"schema_version": 99, "d": 1, "D": 1, "seed": 0}')
