@@ -8,8 +8,14 @@ transform of the fitness values leaves the next state bit-identical.
 
 States are immutable from the caller's point of view: ``update`` returns a new
 state and reports the relative mean shift used by the adaptation-stopping
-rule.  The covariance is refactorized on every update (dimensions stay small
-here), with an additive-jitter repair path if the factorization degenerates.
+rule.  The covariance is eigendecomposed lazily, on the schedule of Hansen,
+"The CMA Evolution Strategy: A Tutorial" (arXiv:1604.00772): only once more
+than ``1 / (10 d (c_1 + c_mu))`` generations have passed since the last
+factorization.  Between refreshes, sampling and the whitening of the mean step
+use the factors of the last refresh.  That interval is below one generation
+for d up to 32 at population 12, so small subspaces refactorize on every
+update; at d=256 it is every 5th.  A refresh symmetrizes the covariance and
+repairs it with additive jitter if the factorization degenerates.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ class Hyperparameters:
     c_1: float
     c_mu: float
     chi_n: float
+    eig_interval: float  # generations a factorization may age before a refresh
 
     @classmethod
     def defaults(cls, d: int, population_size: int) -> "Hyperparameters":
@@ -54,7 +61,8 @@ class Hyperparameters:
         c_1 = 2 / ((d + 1.3) ** 2 + mu_eff)
         c_mu = min(1 - c_1, 2 * (mu_eff - 2 + 1 / mu_eff) / ((d + 2) ** 2 + mu_eff))
         chi_n = np.sqrt(d) * (1 - 1 / (4 * d) + 1 / (21 * d**2))
-        return cls(mu, weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n)
+        eig_interval = 1 / (10 * d * (c_1 + c_mu))
+        return cls(mu, weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n, eig_interval)
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,11 @@ class CmaesState:
     iteration: int
     population_size: int
     hyper: Hyperparameters = field(repr=False)
-    # eigenfactorization of `covariance`, cached for sampling and the next update
+    # eigenfactorization of the covariance as it was at iteration `eig_iteration`,
+    # used for sampling and for whitening in the next update
     eig_sqrt: np.ndarray = field(repr=False, default=None)
     eig_basis: np.ndarray = field(repr=False, default=None)
+    eig_iteration: int = 0
 
     @property
     def dim(self) -> int:
@@ -84,7 +94,8 @@ def _repair_and_factorize(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns (possibly repaired covariance, sqrt eigenvalues, eigenbasis).
     """
     d = covariance.shape[0]
-    cov = (covariance + covariance.T) / 2.0
+    cov = covariance + covariance.T
+    cov /= 2.0
     jitter = 1e-10 * np.trace(cov) / d
     if not np.isfinite(jitter) or jitter <= 0:
         jitter = 1e-10
@@ -100,21 +111,16 @@ def _repair_and_factorize(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarra
     raise np.linalg.LinAlgError("covariance repair failed to restore positive definiteness")
 
 
-def _with_factorization(
-    mean, step_size, covariance, path_sigma, path_c, iteration, population_size, hyper
-) -> CmaesState:
+def _with_factorization(covariance, iteration, **fields) -> CmaesState:
+    """The state with the other ``CmaesState`` fields, refactorized at ``iteration``."""
     cov, eig_sqrt, eig_basis = _repair_and_factorize(covariance)
     return CmaesState(
-        mean=mean,
-        step_size=step_size,
         covariance=cov,
-        path_sigma=path_sigma,
-        path_c=path_c,
         iteration=iteration,
-        population_size=population_size,
-        hyper=hyper,
+        **fields,
         eig_sqrt=eig_sqrt,
         eig_basis=eig_basis,
+        eig_iteration=iteration,
     )
 
 
@@ -129,8 +135,7 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
     if population_size < 2:
         raise ValueError(f"population_size must be >= 2, got {population_size}")
     mean = np.zeros(d) if m0 is None else check_array(m0, "m0", ndim=1, length=d).copy()
-    hyper = Hyperparameters.defaults(d, population_size)
-    return _with_factorization(
+    return CmaesState(
         mean=mean,
         step_size=float(tau0),
         covariance=np.eye(d),
@@ -138,7 +143,10 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
         path_c=np.zeros(d),
         iteration=0,
         population_size=int(population_size),
-        hyper=hyper,
+        hyper=Hyperparameters.defaults(d, population_size),
+        # the identity's factors, exactly what eigh returns for it
+        eig_sqrt=np.ones(d),
+        eig_basis=np.eye(d),
     )
 
 
@@ -197,18 +205,23 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
 
     deltas = (selected - m_old) / tau
     c1_adj = hp.c_1 * (1 - (1 - h_sigma) * c_c * (2 - c_c))
-    covariance = (
-        (1 - c1_adj - hp.c_mu) * state.covariance
-        + hp.c_1 * np.outer(path_c, path_c)
-        + hp.c_mu * (deltas.T * hp.weights) @ deltas
-    )
+    # (1 - c1_adj - c_mu) C + c_1 p_c p_c^T + (c_mu (deltas^T * w)) deltas, summed
+    # left to right (that order fixes the rounding) into one new array through
+    # one scratch array, which is freed before a refresh's eigh
+    covariance = (1 - c1_adj - hp.c_mu) * state.covariance
+    scratch = np.outer(path_c, path_c)
+    scratch *= hp.c_1
+    covariance += scratch
+    np.matmul(hp.c_mu * (deltas.T * hp.weights), deltas, out=scratch)
+    covariance += scratch
+    del scratch
 
     step_size = tau * np.exp(min(1.0, (c_s / hp.d_sigma) * (ps_norm / hp.chi_n - 1)))
 
     old_norm = np.linalg.norm(m_old)
     rel_mean_change = float(np.linalg.norm(m_new - m_old) / old_norm) if old_norm > 0 else np.inf
 
-    new_state = _with_factorization(
+    fields = dict(
         mean=m_new,
         step_size=float(step_size),
         covariance=covariance,
@@ -217,6 +230,15 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
         iteration=t_new,
         population_size=state.population_size,
         hyper=hp,
+    )
+    if t_new - state.eig_iteration > hp.eig_interval:
+        return _with_factorization(**fields), rel_mean_change
+    # between refreshes the new state keeps the factors it was sampled with
+    new_state = CmaesState(
+        **fields,
+        eig_sqrt=state.eig_sqrt,
+        eig_basis=state.eig_basis,
+        eig_iteration=state.eig_iteration,
     )
     return new_state, rel_mean_change
 

@@ -60,6 +60,23 @@ class TestInit:
         with pytest.raises(ValueError):
             cmaes.init(3, tau0=0.0, population_size=4)
 
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 256])
+    def test_factors_are_those_eigh_gives_the_identity(self, d):
+        eigvals, basis = np.linalg.eigh(np.eye(d))
+        state = cmaes.init(d, tau0=0.1, population_size=12)
+        np.testing.assert_array_equal(state.eig_sqrt, np.sqrt(eigvals))
+        np.testing.assert_array_equal(state.eig_basis, basis)
+        assert state.eig_iteration == 0
+
+    def test_init_and_restart_run_no_eigendecomposition(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        state = cmaes.init(16, tau0=0.1, population_size=12)
+        restarted = cmaes.reinitialized(state, np.ones(16), 0.2)
+        np.testing.assert_array_equal(restarted.eig_basis, np.eye(16))
+
     def test_weights_non_increasing_and_normalized(self):
         state = cmaes.init(10, tau0=1.0, population_size=12)
         w = state.hyper.weights
@@ -203,3 +220,84 @@ class TestConvergence:
             target=1e-6, seed=1,
         )
         assert best < 1e-6
+
+
+def _generations(state, count, seed, fitness=sphere):
+    """``count`` updates from ``state``; returns every state, ``state`` first."""
+    rng = np.random.default_rng(seed)
+    states = [state]
+    for _ in range(count):
+        pop = cmaes.sample_population(states[-1], rng)
+        ranked = [RankedCandidate(v, float(fitness(v))) for v in pop]
+        states.append(cmaes.update(states[-1], ranked)[0])
+    return states
+
+
+class TestEigenSchedule:
+    # every (d, K) the tests above use, plus the toy presets' d=32, K=12
+    @pytest.mark.parametrize(
+        "d,population",
+        [(3, 4), (3, 6), (4, 4), (4, 6), (4, 8), (5, 8), (6, 10), (8, 10), (32, 12)],
+    )
+    def test_small_d_refactorizes_every_generation(self, d, population):
+        start = cmaes.init(d, m0=np.ones(d), tau0=0.3, population_size=population)
+        assert start.hyper.eig_interval < 1
+        for state in _generations(start, 12, seed=d)[1:]:
+            _, eig_sqrt, eig_basis = cmaes._repair_and_factorize(state.covariance)
+            assert state.eig_iteration == state.iteration
+            np.testing.assert_array_equal(state.eig_sqrt, eig_sqrt)
+            np.testing.assert_array_equal(state.eig_basis, eig_basis)
+
+    def test_d256_refreshes_every_fifth_generation(self):
+        start = cmaes.init(256, m0=np.ones(256), tau0=0.3, population_size=12)
+        assert 4 < start.hyper.eig_interval < 5
+        states = _generations(start, 16, seed=0)
+        refreshed = [s.iteration for s in states[1:] if s.eig_iteration == s.iteration]
+        assert refreshed == [5, 10, 15]
+        for state in states:
+            last = states[state.eig_iteration]
+            assert state.eig_sqrt is last.eig_sqrt
+            assert state.eig_basis is last.eig_basis
+
+    def test_sampling_and_whitening_use_stale_factors(self):
+        states = _generations(cmaes.init(256, m0=np.ones(256), tau0=0.3), 3, seed=1)
+        state = states[-1]
+        assert state.eig_iteration == 0
+        assert not np.array_equal(state.covariance, np.eye(256))
+        z = np.random.default_rng(9).standard_normal((state.population_size, 256))
+        stale = state.mean + state.step_size * (z * state.eig_sqrt) @ state.eig_basis.T
+        pop = cmaes.sample_population(state, np.random.default_rng(9))
+        np.testing.assert_array_equal(pop, stale)
+        _, eig_sqrt, eig_basis = cmaes._repair_and_factorize(state.covariance)
+        fresh = state.mean + state.step_size * (z * eig_sqrt) @ eig_basis.T
+        assert not np.allclose(pop, fresh)
+
+        ranked = [RankedCandidate(v, float(sphere(v))) for v in pop]
+        new_state, _ = cmaes.update(state, ranked)
+        hp = state.hyper
+        y_w = (new_state.mean - state.mean) / state.step_size
+        whitened = state.eig_basis @ ((state.eig_basis.T @ y_w) / state.eig_sqrt)
+        expected = (1 - hp.c_sigma) * state.path_sigma + np.sqrt(
+            hp.c_sigma * (2 - hp.c_sigma) * hp.mu_eff
+        ) * whitened
+        np.testing.assert_allclose(new_state.path_sigma, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_long_noisy_stream_stays_healthy():
+    """600 generations at d=64 (a refresh every 2nd) on a noisy sphere, no stop rule."""
+    noise = np.random.default_rng(2)
+    state = cmaes.init(64, m0=np.ones(64), tau0=0.5, population_size=12)
+    assert 1 < state.hyper.eig_interval < 2
+    sample_rng = np.random.default_rng(3)
+    refreshes = 0
+    for _ in range(600):
+        pop = cmaes.sample_population(state, sample_rng)
+        assert np.all(np.isfinite(pop))
+        ranked = [RankedCandidate(v, float(sphere(v) + 0.1 * noise.standard_normal()))
+                  for v in pop]
+        state, _ = cmaes.update(state, ranked)
+        assert np.isfinite(state.step_size) and state.step_size > 0
+        if state.eig_iteration == state.iteration:
+            refreshes += 1
+            np.linalg.cholesky(state.covariance)  # raises unless positive definite
+    assert refreshes == 300
