@@ -30,7 +30,6 @@ from .model import (
     AdaptableModel,
     ArchitectureConfig,
     Layer,
-    PretrainError,
     SourceStats,
     compute_source_stats,
     load_checkpoint,
@@ -65,7 +64,6 @@ __all__ = [
     "AdaptableModel",
     "ArchitectureConfig",
     "Layer",
-    "PretrainError",
     "SourceStats",
     "compute_source_stats",
     "load_checkpoint",

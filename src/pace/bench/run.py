@@ -92,7 +92,6 @@ class RunConfig:
     res_blocks: int = 4
     train_samples: int = 4096
     train_epochs: int = 60
-    learning_rate: float = 3e-3
     # controller
     dim: int = 32
     population: int = 12
@@ -106,8 +105,6 @@ class RunConfig:
     source_samples: int = 2000
     calibration_batches: int = 200
     calibration_warmup: int = 20
-    gamma_percentile: float = 99.5
-    gamma_headroom: float = 2.5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -145,18 +142,8 @@ class RunConfig:
 
     def stream_fingerprint(self) -> str:
         stream = self.stream_config()
-        payload = {
-            "base_task": stream.base_task,
-            "in_dim": stream.in_dim,
-            "class_count": stream.class_count,
-            "domains": format_domain_sequence(stream.domain_sequence),
-            "batch_size": stream.batch_size,
-            "rounds": stream.rounds,
-            "seed": stream.seed,
-            "blob_radius": stream.blob_radius,
-            "blob_std": stream.blob_std,
-            "blob_center": stream.blob_center,
-        }
+        payload = {f.name: getattr(stream, f.name) for f in fields(stream)}
+        payload["domains"] = format_domain_sequence(payload.pop("domain_sequence"))
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
         return digest.hexdigest()[:16]
 
@@ -263,7 +250,6 @@ def prepare_assets(config: RunConfig) -> tuple[AdaptableModel, SourceStats, floa
         y,
         seed=config.seed,
         epochs=config.train_epochs,
-        learning_rate=config.learning_rate,
     )
     stats_batches = [b[0] for b in make_source_batches(stream_cfg, config.source_samples, tag=2)]
     source_stats = compute_source_stats(model, stats_batches)
@@ -294,9 +280,7 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
             scores.append(shift_score(ema, batch_stats))
     if not scores:
         raise ValueError("not enough calibration batches after warmup")
-    return calibrate_gamma(
-        scores, percentile=config.gamma_percentile, headroom=config.gamma_headroom
-    )
+    return calibrate_gamma(scores)
 
 
 def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerConfig | None:
@@ -316,7 +300,8 @@ def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerC
         seed=config.seed,
     )
     if method in ("pace-always", "pace-v1"):
-        # never freezes, so neither the detector nor the bank ever runs
+        # never freezes; the detector scores every batch, but no shift is acted on
+        # and the bank stays empty without shift_while_adapting
         kwargs["epsilon"] = 0.0
     elif method == "pace-v2":
         kwargs["epsilon"] = 0.0

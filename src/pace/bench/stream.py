@@ -21,6 +21,12 @@ _TAG_DOMAIN = 1
 _TAG_BATCH = 2
 _TAG_SOURCE = 3
 
+# the rings task: class c lies on the shell of radius _RING_BASE + _RING_GAP * c,
+# blurred radially by _RING_STD
+_RING_BASE = 2.0
+_RING_GAP = 1.2
+_RING_STD = 0.25
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -49,9 +55,6 @@ class StreamConfig:
     blob_radius: float = 4.0
     blob_std: float = 1.0
     blob_center: float = 0.0  # distance of the constellation center from the origin
-    ring_base_radius: float = 2.0
-    ring_gap: float = 1.2
-    ring_std: float = 0.25
 
     def __post_init__(self):
         if self.base_task not in ("blobs8", "rings"):
@@ -126,7 +129,7 @@ def _sample_clean(cfg: StreamConfig, rng: np.random.Generator, n: int, centers):
     else:  # rings: concentric shells, one radius band per class
         direction = rng.standard_normal((n, cfg.in_dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = cfg.ring_base_radius + cfg.ring_gap * labels + cfg.ring_std * rng.standard_normal(n)
+        radii = _RING_BASE + _RING_GAP * labels + _RING_STD * rng.standard_normal(n)
         X = direction * radii[:, None]
     return X, labels
 

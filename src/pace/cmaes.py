@@ -14,8 +14,8 @@ than ``1 / (10 d (c_1 + c_mu))`` generations have passed since the last
 factorization.  Between refreshes, sampling and the whitening of the mean step
 use the factors of the last refresh.  That interval is below one generation
 for d up to 32 at population 12, so small subspaces refactorize on every
-update; at d=256 it is every 5th.  A refresh symmetrizes the covariance and
-repairs it with additive jitter if the factorization degenerates.
+update; at d=256 it is every 5th.  A refresh symmetrizes the covariance in
+place and repairs it with additive jitter if the factorization degenerates.
 """
 from __future__ import annotations
 
@@ -88,14 +88,13 @@ class CmaesState:
         return self.mean.shape[0]
 
 
-def _repair_and_factorize(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose, adding doubling jitter until positive definite.
+def _repair_and_factorize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecompose the symmetric ``cov``, adding doubling jitter until positive definite.
 
-    Returns (possibly repaired covariance, sqrt eigenvalues, eigenbasis).
+    Returns (possibly repaired covariance, sqrt eigenvalues, eigenbasis);
+    ``cov`` itself is never written.
     """
-    d = covariance.shape[0]
-    cov = covariance + covariance.T
-    cov /= 2.0
+    d = cov.shape[0]
     jitter = 1e-10 * np.trace(cov) / d
     if not np.isfinite(jitter) or jitter <= 0:
         jitter = 1e-10
@@ -232,6 +231,10 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
         hyper=hp,
     )
     if t_new - state.eig_iteration > hp.eig_interval:
+        # symmetrize the fresh blend in place; numpy buffers the overlapping
+        # transpose, so each entry is (C_ij + C_ji) / 2 of the blended values
+        np.add(covariance, covariance.T, out=covariance)
+        covariance /= 2.0
         return _with_factorization(**fields), rel_mean_change
     # between refreshes the new state keeps the factors it was sampled with
     new_state = CmaesState(

@@ -26,6 +26,7 @@ from .validation import check_array, check_batch
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
+VARIANCE_FLOOR = 1e-8  # shift_score's lower bound on a feature variance
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,9 @@ class ControllerConfig:
     ``pace run`` and the benchmark build their config from ``RunConfig``
     (``tau0=0.05``, ``epsilon=0.1``) with
     ``pace.bench.run.controller_config_for_method``.  ``epsilon = 0`` never
-    stops adapting, so the detector and the bank then run only with
-    ``shift_while_adapting``.
+    stops adapting.  The detector still scores every adapting batch (the
+    report's ``shift_score``) and blends its statistics into the EMA, but a
+    shift is acted on, and the bank used, only with ``shift_while_adapting``.
     """
 
     dim: int = 32
@@ -80,21 +82,23 @@ def update_ema(ema: EmaStats | None, batch_stats: EmaStats, beta: float) -> EmaS
     )
 
 
-def shift_score(a: EmaStats, b: EmaStats, variance_floor: float = 1e-8) -> float:
+def shift_score(a: EmaStats, b: EmaStats) -> float:
     """Symmetric KL divergence between per-feature Gaussians, averaged over features.
 
     Each feature is treated as a univariate Gaussian given its (mean,
-    variance) pair; variances are floored to keep degenerate batches from
-    producing infinities.  Identical statistics score exactly 0.
+    variance) pair; variances are floored at ``VARIANCE_FLOOR`` to keep
+    degenerate batches from producing infinities.  Identical statistics score
+    exactly 0.
     """
     mean_a = check_array(a.mean, "mean")
-    mean_b = check_array(b.mean, "mean", length=mean_a.shape[-1])
-    var_a = np.asarray(a.var, dtype=np.float64)
-    var_b = np.asarray(b.var, dtype=np.float64)
+    n = mean_a.shape[-1]
+    mean_b = check_array(b.mean, "mean", length=n)
+    var_a = check_array(a.var, "variance", length=n)
+    var_b = check_array(b.var, "variance", length=n)
     if (var_a < 0).any() or (var_b < 0).any():
         raise ValueError("variances must be non-negative")
-    va = np.maximum(var_a, variance_floor)
-    vb = np.maximum(var_b, variance_floor)
+    va = np.maximum(var_a, VARIANCE_FLOOR)
+    vb = np.maximum(var_b, VARIANCE_FLOOR)
     delta2 = (mean_a - mean_b) ** 2
     # KL(a||b) + KL(b||a) in closed form; the log terms cancel
     per_feature = (va + delta2) / (2 * vb) + (vb + delta2) / (2 * va) - 1.0

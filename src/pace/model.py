@@ -32,7 +32,7 @@ locally; adaptation itself never computes gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,14 +40,8 @@ from .validation import check_array, check_batch, check_positive_int
 
 CHECKPOINT_SCHEMA_VERSION = 1
 _LN_EPS = 1e-5
-
-
-class PretrainError(RuntimeError):
-    """Raised when training fails to reach the requested accuracy."""
-
-    def __init__(self, message: str, accuracy: float):
-        super().__init__(message)
-        self.accuracy = accuracy
+_TRAIN_BATCH = 128  # pretraining minibatch size
+_TRAIN_LEARNING_RATE = 3e-3  # Adam step size
 
 
 @dataclass(frozen=True)
@@ -120,12 +114,10 @@ class ActivationStats:
 
 @dataclass
 class SourceStats:
-    """Streaming activation moments of in-distribution data."""
+    """Per-block activation moments of in-distribution data, read by the fitness."""
 
     means: list[np.ndarray]
     stds: list[np.ndarray]
-    stem_mean: np.ndarray
-    stem_var: np.ndarray
     sample_count: int = 0
 
 
@@ -206,10 +198,6 @@ class AdaptableModel:
     @property
     def class_count(self) -> int:
         return self.config.class_count
-
-    @property
-    def stem_dim(self) -> int:
-        return self.config.width
 
     def _check_weight_shapes(self):
         w, c = self.config.width, self.config.class_count
@@ -395,15 +383,8 @@ def pretrain(
     y,
     seed: int = 0,
     epochs: int = 60,
-    batch_size: int = 128,
-    learning_rate: float = 3e-3,
-    min_accuracy: float | None = None,
 ) -> AdaptableModel:
-    """Train base weights on labeled source data with Adam; deterministic per seed.
-
-    When ``min_accuracy`` is given, a final training accuracy below it raises
-    ``PretrainError`` carrying the measured accuracy.
-    """
+    """Train base weights on labeled source data with Adam; deterministic per seed."""
     X = check_batch(X, "X", width=config.in_dim)
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (X.shape[0],):
@@ -425,8 +406,8 @@ def pretrain(
     n_samples = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n_samples)
-        for lo in range(0, n_samples, batch_size):
-            idx = order[lo : lo + batch_size]
+        for lo in range(0, n_samples, _TRAIN_BATCH):
+            idx = order[lo : lo + _TRAIN_BATCH]
             logits, cache = model._forward_train(X[idx])
             probs = _softmax(logits)
             d_logits = (probs - onehot[idx]) / idx.shape[0]
@@ -437,16 +418,9 @@ def pretrain(
                 v_adam[key] = beta2 * v_adam[key] + (1 - beta2) * g * g
                 m_hat = mated[key] / (1 - beta1**step)
                 v_hat = v_adam[key] / (1 - beta2**step)
-                weights[key] = weights[key] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                weights[key] = weights[key] - _TRAIN_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
 
-    trained = AdaptableModel(config, weights)
-    accuracy = float(np.mean(trained.predict(X) == y))
-    if min_accuracy is not None and accuracy < min_accuracy:
-        raise PretrainError(
-            f"training did not converge: accuracy {accuracy:.4f} < {min_accuracy:.4f}",
-            accuracy,
-        )
-    return trained
+    return AdaptableModel(config, weights)
 
 
 class _RunningMoments:
@@ -466,33 +440,26 @@ class _RunningMoments:
         self.m2 = self.m2 + b_m2 + delta**2 * (self.count * n_b / total)
         self.count = total
 
-    def variance(self) -> np.ndarray:
-        return self.m2 / self.count
-
     def std(self) -> np.ndarray:
-        return np.sqrt(self.variance())
+        return np.sqrt(self.m2 / self.count)
 
 
 def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
-    """Aggregate per-block and stem activation moments over in-distribution batches."""
+    """Aggregate per-block activation moments over in-distribution batches."""
     block_moments = [_RunningMoments(model.config.width) for _ in range(model.block_count)]
-    stem_moments = _RunningMoments(model.stem_dim)
     zero = model.zero_offset()
     seen = 0
     for batch in source_batches:
         X = check_batch(batch, "source batch", width=model.config.in_dim)
-        _, blocks, stem = model._activations(zero, X)
+        _, blocks, _ = model._activations(zero, X)
         for moments, (mean, var) in zip(block_moments, blocks):
             moments.update(X.shape[0], mean, var)
-        stem_moments.update(X.shape[0], *stem)
         seen += X.shape[0]
     if seen == 0:
         raise ValueError("source statistics require at least one sample")
     return SourceStats(
         means=[m.mean.copy() for m in block_moments],
         stds=[m.std() for m in block_moments],
-        stem_mean=stem_moments.mean.copy(),
-        stem_var=stem_moments.variance(),
         sample_count=seen,
     )
 
@@ -503,24 +470,12 @@ def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
 def save_checkpoint(path, model: AdaptableModel, source_stats: SourceStats | None = None):
     payload = {
         "schema_version": np.array([CHECKPOINT_SCHEMA_VERSION]),
-        "config_json": np.array(
-            json.dumps(
-                {
-                    "kind": model.config.kind,
-                    "in_dim": model.config.in_dim,
-                    "class_count": model.config.class_count,
-                    "width": model.config.width,
-                    "blocks": model.config.blocks,
-                }
-            )
-        ),
+        "config_json": np.array(json.dumps(asdict(model.config))),
     }
     for key, arr in model.weights.items():
         payload[f"weight.{key}"] = arr
     if source_stats is not None:
         payload["stats.count"] = np.array([source_stats.sample_count])
-        payload["stats.stem_mean"] = source_stats.stem_mean
-        payload["stats.stem_var"] = source_stats.stem_var
         for i, (mu, sd) in enumerate(zip(source_stats.means, source_stats.stds)):
             payload[f"stats.mean.{i}"] = mu
             payload[f"stats.std.{i}"] = sd
@@ -546,11 +501,5 @@ def load_checkpoint(path) -> tuple[AdaptableModel, SourceStats | None]:
                 means.append(data[f"stats.mean.{i}"])
                 stds.append(data[f"stats.std.{i}"])
                 i += 1
-            stats = SourceStats(
-                means=means,
-                stds=stds,
-                stem_mean=data["stats.stem_mean"],
-                stem_var=data["stats.stem_var"],
-                sample_count=int(data["stats.count"][0]),
-            )
+            stats = SourceStats(means, stds, sample_count=int(data["stats.count"][0]))
         return model, stats

@@ -136,8 +136,9 @@ class FastfoodProjector:
         """Bytes held by the block factors (the dense equivalent is D*d floats)."""
         return sum(f.nbytes for f in (self._signs, self._gauss, self._perms, self._scales))
 
-    def dense_equivalent_nbytes(self, itemsize: int = 4) -> int:
-        return self.D * self.d * itemsize
+    def dense_equivalent_nbytes(self) -> int:
+        """Bytes of the dense float32 ``D x d`` matrix the projector stands in for."""
+        return self.D * self.d * 4
 
     def transform(self, V) -> np.ndarray:
         """Project each row of ``V`` (shape ``(n, d)``) to shape ``(n, D)``.

@@ -10,19 +10,18 @@ def check_array(
     *,
     ndim: int | None = None,
     length: int | None = None,
-    finite: bool = True,
 ) -> np.ndarray:
     """Coerce ``x`` to a float64 ndarray and validate basic properties.
 
-    Raises ``ValueError`` on dimensionality/length mismatch or, when
-    ``finite`` is set, on NaN/Inf entries.
+    Raises ``ValueError`` on dimensionality/length mismatch or on NaN/Inf
+    entries.
     """
     arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if length is not None and arr.shape[-1] != length:
         raise ValueError(f"{name} must have length {length}, got {arr.shape[-1]}")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,28 @@ class TestEigenSchedule:
             hp.c_sigma * (2 - hp.c_sigma) * hp.mu_eff
         ) * whitened
         np.testing.assert_allclose(new_state.path_sigma, expected, rtol=1e-12, atol=1e-14)
+
+    def test_refresh_adds_no_covariance_sized_array(self):
+        # tracemalloc sees numpy's array buffers, not LAPACK's workspace
+        d = 512
+        states = _generations(cmaes.init(d, m0=np.ones(d), tau0=0.3), 9, seed=2)
+        rng = np.random.default_rng(4)
+        peaks = {}
+        for state in states[7:]:
+            before = state.covariance.copy()
+            ranked = [RankedCandidate(v, float(sphere(v)))
+                      for v in cmaes.sample_population(state, rng)]
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                new_state, _ = cmaes.update(state, ranked)
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(state.covariance, before)
+            peaks[new_state.eig_iteration == new_state.iteration] = peak
+        assert set(peaks) == {False, True}
+        assert peaks[True] - peaks[False] < 0.5 * d * d * 8
 
 
 def test_long_noisy_stream_stays_healthy():

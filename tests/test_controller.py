@@ -72,7 +72,7 @@ class TestShiftScore:
     def test_variance_floor_prevents_infinity(self):
         a = EmaStats(np.array([0.0]), np.array([0.0]))
         b = EmaStats(np.array([1.0]), np.array([0.0]))
-        value = shift_score(a, b, variance_floor=1e-8)
+        value = shift_score(a, b)
         assert np.isfinite(value) and value > 0
 
     def test_negative_variance_rejected(self):
@@ -80,6 +80,15 @@ class TestShiftScore:
         b = EmaStats(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="non-negative"):
             shift_score(a, b)
+
+    @pytest.mark.parametrize("var", [[4.0], [1.0, 1.0, np.nan, 1.0]])
+    def test_variance_checked_like_the_mean(self, var):
+        # a length-1 variance would broadcast; a NaN one would score nan
+        a = EmaStats(np.zeros(4), np.ones(4))
+        b = EmaStats(np.zeros(4), np.array(var))
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="variance"):
+                shift_score(*pair)
 
 
 class TestCalibrateGamma:

@@ -20,8 +20,6 @@ def make_source(means, stds):
     return SourceStats(
         means=[np.asarray(m, dtype=float) for m in means],
         stds=[np.asarray(s, dtype=float) for s in stds],
-        stem_mean=np.zeros(2),
-        stem_var=np.ones(2),
         sample_count=100,
     )
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from pace.bench.stream import (
+    _RING_BASE,
+    _RING_GAP,
+    _RING_STD,
     DomainSpec,
     StreamConfig,
     format_domain_sequence,
@@ -175,8 +178,8 @@ class TestTasks:
         )
         for batch in generate_stream(cfg):
             radii = np.linalg.norm(batch.features, axis=1)
-            expected = cfg.ring_base_radius + cfg.ring_gap * batch.labels
-            assert np.all(np.abs(radii - expected) < 5 * cfg.ring_std)
+            expected = _RING_BASE + _RING_GAP * batch.labels
+            assert np.all(np.abs(radii - expected) < 5 * _RING_STD)
 
     def test_two_dim_blob_centers_equally_spaced(self):
         from pace.bench.stream import _task_centers
