@@ -36,7 +36,7 @@ from .model import (
     pretrain,
     save_checkpoint,
 )
-from .projection import FastfoodBlock, FastfoodProjector, fwht
+from .projection import FastfoodProjector, fwht
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "load_checkpoint",
     "pretrain",
     "save_checkpoint",
-    "FastfoodBlock",
     "FastfoodProjector",
     "fwht",
     "__version__",

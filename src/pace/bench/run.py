@@ -268,12 +268,10 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
     stream_cfg = config.stream_config()
     total = config.calibration_batches * config.batch_size
     batches = make_source_batches(stream_cfg, total, config.batch_size, tag=3)
-    zero = model.zero_offset()
     ema = None
     scores = []
     for i, (X, _) in enumerate(batches):
-        _, stats = model.forward(zero, X)
-        batch_stats = EmaStats(stats.stem_mean, stats.stem_var)
+        batch_stats = EmaStats(*model.stem_moments(X))
         if i < config.calibration_warmup:
             ema = update_ema(ema, batch_stats, config.beta)
         else:

@@ -4,12 +4,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bench.run import (
     METHODS,
     RunConfig,
-    calibrate_gamma_for_config,
     compare,
     load_summary,
     prepare_assets,
@@ -43,12 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key in ("method", "seed", "epsilon", "gamma", "bank_capacity", "population", "dim", "out_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return replace(config, **overrides) if overrides else config
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    return replace(config, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -68,9 +64,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args)
-    model, _, _ = prepare_assets(replace(config, gamma=1.0))  # skip auto-calibration
-    gamma = calibrate_gamma_for_config(config, model)
+    _, _, gamma = prepare_assets(replace(_load_config(args), gamma=None))
     print(json.dumps({"gamma": gamma}))
     return 0
 

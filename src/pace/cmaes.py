@@ -79,9 +79,9 @@ class CmaesState:
     hyper: Hyperparameters = field(repr=False)
     # eigenfactorization of the covariance as it was at iteration `eig_iteration`,
     # used for sampling and for whitening in the next update
-    eig_sqrt: np.ndarray = field(repr=False, default=None)
-    eig_basis: np.ndarray = field(repr=False, default=None)
-    eig_iteration: int = 0
+    eig_sqrt: np.ndarray = field(repr=False)
+    eig_basis: np.ndarray = field(repr=False)
+    eig_iteration: int
 
     @property
     def dim(self) -> int:
@@ -110,19 +110,6 @@ def _repair_and_factorize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     raise np.linalg.LinAlgError("covariance repair failed to restore positive definiteness")
 
 
-def _with_factorization(covariance, iteration, **fields) -> CmaesState:
-    """The state with the other ``CmaesState`` fields, refactorized at ``iteration``."""
-    cov, eig_sqrt, eig_basis = _repair_and_factorize(covariance)
-    return CmaesState(
-        covariance=cov,
-        iteration=iteration,
-        **fields,
-        eig_sqrt=eig_sqrt,
-        eig_basis=eig_basis,
-        eig_iteration=iteration,
-    )
-
-
 def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> CmaesState:
     """Fresh state: identity covariance, zero paths, iteration 0.
 
@@ -146,6 +133,7 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
         # the identity's factors, exactly what eigh returns for it
         eig_sqrt=np.ones(d),
         eig_basis=np.eye(d),
+        eig_iteration=0,
     )
 
 
@@ -220,7 +208,16 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
     old_norm = np.linalg.norm(m_old)
     rel_mean_change = float(np.linalg.norm(m_new - m_old) / old_norm) if old_norm > 0 else np.inf
 
-    fields = dict(
+    # between refreshes the new state keeps the factors it was sampled with
+    eig_sqrt, eig_basis, eig_iteration = state.eig_sqrt, state.eig_basis, state.eig_iteration
+    if t_new - eig_iteration > hp.eig_interval:
+        # symmetrize the fresh blend in place; numpy buffers the overlapping
+        # transpose, so each entry is (C_ij + C_ji) / 2 of the blended values
+        np.add(covariance, covariance.T, out=covariance)
+        covariance /= 2.0
+        covariance, eig_sqrt, eig_basis = _repair_and_factorize(covariance)
+        eig_iteration = t_new
+    new_state = CmaesState(
         mean=m_new,
         step_size=float(step_size),
         covariance=covariance,
@@ -229,19 +226,9 @@ def update(state: CmaesState, ranked: list[RankedCandidate]) -> tuple[CmaesState
         iteration=t_new,
         population_size=state.population_size,
         hyper=hp,
-    )
-    if t_new - state.eig_iteration > hp.eig_interval:
-        # symmetrize the fresh blend in place; numpy buffers the overlapping
-        # transpose, so each entry is (C_ij + C_ji) / 2 of the blended values
-        np.add(covariance, covariance.T, out=covariance)
-        covariance /= 2.0
-        return _with_factorization(**fields), rel_mean_change
-    # between refreshes the new state keeps the factors it was sampled with
-    new_state = CmaesState(
-        **fields,
-        eig_sqrt=state.eig_sqrt,
-        eig_basis=state.eig_basis,
-        eig_iteration=state.eig_iteration,
+        eig_sqrt=eig_sqrt,
+        eig_basis=eig_basis,
+        eig_iteration=eig_iteration,
     )
     return new_state, rel_mean_change
 

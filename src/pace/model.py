@@ -295,6 +295,18 @@ class AdaptableModel:
             finite = bool(finite)
         return probs, ActivationStats(means, stds, stem_mean, stem_var, finite)
 
+    def stem_moments(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """Batch mean and variance of the stem tap, the first layer's pre-normalization output.
+
+        Checks the batch as ``forward`` does and runs only the first linear
+        layer; the result is bit-identical to the ``stem_mean``/``stem_var``
+        of any ``forward`` on the same batch, since no offset reaches the tap.
+        """
+        X = check_batch(batch, "batch", width=self.config.in_dim)
+        name = self.layers[0].name
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _moments(_linear(X, self.weights[f"{name}.w"], self.weights[f"{name}.b"]))
+
     def zero_offset(self) -> np.ndarray:
         return np.zeros(self.offset_dim)
 

@@ -20,8 +20,6 @@ projector is never persisted: ``FastfoodProjector(d, D, seed)`` rebuilds it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .validation import check_array, check_positive_int, is_power_of_two, next_power_of_two
@@ -60,30 +58,6 @@ def _component_rng(seed: int, block_index: int, tag: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class FastfoodBlock:
-    """Frozen per-block factors: signs, Gaussian diagonal, permutation, row scaling."""
-
-    b_signs: np.ndarray  # int8, entries in {-1, +1}
-    g_gauss: np.ndarray  # float64
-    perm: np.ndarray  # uint32, a bijection on range(size)
-    s_scale: np.ndarray  # float64, strictly positive
-
-    def __post_init__(self):
-        n = self.b_signs.shape[0]
-        if not is_power_of_two(n):
-            raise ValueError(f"block size must be a power of two, got {n}")
-        for name in ("g_gauss", "perm", "s_scale"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        if not np.all(np.abs(self.b_signs) == 1):
-            raise ValueError("b_signs entries must be +/-1")
-        if not np.array_equal(np.sort(self.perm), np.arange(n)):
-            raise ValueError("perm is not a permutation")
-        if not np.all(self.s_scale > 0):
-            raise ValueError("s_scale entries must be positive")
-
-
 def _block_factors(seed: int, block_index: int, size: int) -> tuple[np.ndarray, ...]:
     """One block's signs, Gaussian diagonal, permutation and row scaling."""
     signs_rng = _component_rng(seed, block_index, _TAG_SIGNS)
@@ -109,6 +83,11 @@ class FastfoodProjector:
     ``ceil(D / d_padded)`` independent blocks, and the concatenated output is
     truncated to exactly ``D`` entries.  Immutable after construction and safe
     to share across threads.
+
+    The factors of all blocks are held once, stacked to ``(n_blocks, d_padded)``
+    read-only arrays with row ``i`` belonging to block ``i``: ``signs`` (int8,
+    entries +/-1), ``gauss`` (float64), ``perms`` (uint32, each row a
+    permutation of ``range(d_padded)``) and ``scales`` (float64, positive).
     """
 
     def __init__(self, d: int, D: int, seed: int = 0):
@@ -121,20 +100,20 @@ class FastfoodProjector:
         # transform pushes every row through every block at once
         per_block = (_block_factors(self.seed, i, self.d_padded) for i in range(n_blocks))
         stacked = tuple(np.stack(factor) for factor in zip(*per_block))
-        self._signs, self._gauss, self._perms, self._scales = stacked
-        # the blocks are row views of the stacked factors, so each factor is held once
-        self.blocks = tuple(FastfoodBlock(*rows) for rows in zip(*stacked))
+        for factor in stacked:
+            factor.flags.writeable = False  # public, so read-only: the projector is immutable
+        self.signs, self.gauss, self.perms, self.scales = stacked
         # makes the composite approximately entrywise N(0, 1/d)
         self._output_scale = 1.0 / (self.d_padded * np.sqrt(self.d))
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.signs.shape[0]
 
     @property
     def stored_nbytes(self) -> int:
         """Bytes held by the block factors (the dense equivalent is D*d floats)."""
-        return sum(f.nbytes for f in (self._signs, self._gauss, self._perms, self._scales))
+        return sum(f.nbytes for f in (self.signs, self.gauss, self.perms, self.scales))
 
     def dense_equivalent_nbytes(self) -> int:
         """Bytes of the dense float32 ``D x d`` matrix the projector stands in for."""
@@ -151,9 +130,9 @@ class FastfoodProjector:
         n = V.shape[0]
         padded = np.zeros((n, 1, self.d_padded), dtype=np.float64)
         padded[:, 0, : self.d] = V
-        u = fwht(padded * self._signs)
-        u = fwht(np.take_along_axis(u, self._perms[None], axis=-1) * self._gauss)
-        u = u * (self._scales * self._output_scale)
+        u = fwht(padded * self.signs)
+        u = fwht(np.take_along_axis(u, self.perms[None], axis=-1) * self.gauss)
+        u = u * (self.scales * self._output_scale)
         return u.reshape(n, -1)[:, : self.D]
 
     def project(self, v) -> np.ndarray:

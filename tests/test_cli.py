@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pace.bench.run import RunConfig, prepare_assets
 from pace.cli import main
 
 TINY_CONFIG = """
@@ -79,6 +80,14 @@ class TestCalibrateGamma:
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert record["gamma"] > 0
+        _, _, calibrated = prepare_assets(RunConfig.from_file(config_file))
+        assert record["gamma"] == calibrated
+        # a configured gamma is what the command replaces, not what it prints
+        fixed = config_file.with_name("fixed.cfg")
+        fixed.write_text(TINY_CONFIG + "gamma = 0.5\n")
+        assert main(["calibrate-gamma", "--config", str(fixed)]) == 0
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert record["gamma"] == calibrated
 
 
 class TestCompareCommand:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -113,15 +114,9 @@ class TestSamplePopulation:
         state = cmaes.init(3, tau0=0.1, population_size=4)
         broken = state.covariance.copy()
         broken[0, 0] = -1.0  # not positive definite
-        repaired = cmaes._with_factorization(
-            mean=state.mean,
-            step_size=state.step_size,
-            covariance=broken,
-            path_sigma=state.path_sigma,
-            path_c=state.path_c,
-            iteration=state.iteration,
-            population_size=state.population_size,
-            hyper=state.hyper,
+        covariance, eig_sqrt, eig_basis = cmaes._repair_and_factorize(broken)
+        repaired = dataclasses.replace(
+            state, covariance=covariance, eig_sqrt=eig_sqrt, eig_basis=eig_basis
         )
         assert np.linalg.eigvalsh(repaired.covariance).min() > 0
         pop = cmaes.sample_population(repaired, np.random.default_rng(0))

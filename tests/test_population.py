@@ -75,10 +75,10 @@ def _reference_transform(p: FastfoodProjector, V: np.ndarray) -> np.ndarray:
     padded = np.zeros((V.shape[0], p.d_padded))
     padded[:, : p.d] = V
     pieces = []
-    for block in p.blocks:
-        u = fwht(padded * block.b_signs)
-        u = fwht(u[:, block.perm] * block.g_gauss)
-        pieces.append(u * (block.s_scale * p._output_scale))
+    for signs, gauss, perm, scale in zip(p.signs, p.gauss, p.perms, p.scales):
+        u = fwht(padded * signs)
+        u = fwht(u[:, perm] * gauss)
+        pieces.append(u * (scale * p._output_scale))
     return np.concatenate(pieces, axis=1)[:, : p.D]
 
 
@@ -175,6 +175,8 @@ def test_stem_statistics_are_shared_by_the_population(kind):
     _, zero = model.forward(model.zero_offset(), X)
     np.testing.assert_array_equal(population.stem_mean, zero.stem_mean)
     np.testing.assert_array_equal(population.stem_var, zero.stem_var)
+    for stats in (population, zero):
+        np.testing.assert_array_equal(model.stem_moments(X), (stats.stem_mean, stats.stem_var))
 
 
 def test_all_blocks_transform_matches_per_block_reference():

@@ -18,14 +18,13 @@ def naive_hadamard(n: int) -> np.ndarray:
 
 def explicit_block_matrix(p: FastfoodProjector, index: int = 0) -> np.ndarray:
     """Materialize one block's five factor matrices and multiply them out."""
-    blk = p.blocks[index]
     n = p.d_padded
     H = naive_hadamard(n)
-    B = np.diag(blk.b_signs.astype(np.float64))
-    G = np.diag(blk.g_gauss)
+    B = np.diag(p.signs[index].astype(np.float64))
+    G = np.diag(p.gauss[index])
     P = np.zeros((n, n))
-    P[np.arange(n), blk.perm] = 1.0
-    S = np.diag(blk.s_scale)
+    P[np.arange(n), p.perms[index]] = 1.0
+    S = np.diag(p.scales[index])
     return S @ H @ G @ P @ H @ B / (p.d_padded * np.sqrt(p.d))
 
 
@@ -85,12 +84,22 @@ class TestBuildProjector:
             live, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        stacked = (p._signs, p._gauss, p._perms, p._scales)
-        for blk in p.blocks:
-            factors = (blk.b_signs, blk.g_gauss, blk.perm, blk.s_scale)
-            for factor, whole in zip(factors, stacked):
-                assert np.shares_memory(factor, whole)
         assert live <= 1.05 * p.stored_nbytes
+
+    @pytest.mark.parametrize("d, D, seed", [(6, 20, 123456789), (32, 300, 5), (2304, 34800, 5)])
+    def test_factor_invariants(self, d, D, seed):
+        p = FastfoodProjector(d=d, D=D, seed=seed)
+        factors = (p.signs, p.gauss, p.perms, p.scales)
+        for factor in factors:
+            assert factor.shape == (p.n_blocks, p.d_padded)
+        for perm in p.perms:
+            np.testing.assert_array_equal(np.sort(perm), np.arange(p.d_padded))
+        assert p.signs.dtype == np.int8
+        assert np.all(np.abs(p.signs) == 1)
+        assert np.all(p.scales > 0)
+        for factor in factors:
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 1
 
     def test_exact_fit_single_block(self):
         p = FastfoodProjector(d=4, D=4, seed=0)
@@ -100,16 +109,15 @@ class TestBuildProjector:
     def test_deterministic_rebuild(self):
         a = FastfoodProjector(d=7, D=30, seed=42)
         b = FastfoodProjector(d=7, D=30, seed=42)
-        for blk_a, blk_b in zip(a.blocks, b.blocks):
-            np.testing.assert_array_equal(blk_a.b_signs, blk_b.b_signs)
-            np.testing.assert_array_equal(blk_a.g_gauss, blk_b.g_gauss)
-            np.testing.assert_array_equal(blk_a.perm, blk_b.perm)
-            np.testing.assert_array_equal(blk_a.s_scale, blk_b.s_scale)
+        np.testing.assert_array_equal(a.signs, b.signs)
+        np.testing.assert_array_equal(a.gauss, b.gauss)
+        np.testing.assert_array_equal(a.perms, b.perms)
+        np.testing.assert_array_equal(a.scales, b.scales)
 
     def test_different_seeds_differ(self):
         a = FastfoodProjector(d=8, D=8, seed=1)
         b = FastfoodProjector(d=8, D=8, seed=2)
-        assert not np.array_equal(a.blocks[0].g_gauss, b.blocks[0].g_gauss)
+        assert not np.array_equal(a.gauss[0], b.gauss[0])
 
     def test_rejects_zero_dimensions(self):
         with pytest.raises(ValueError):
@@ -121,21 +129,20 @@ class TestBuildProjector:
         # frozen outputs of the counter-based generator scheme; guards the
         # cross-platform reproducibility contract
         p = FastfoodProjector(d=6, D=20, seed=123456789)
-        blk = p.blocks[0]
         assert p.d_padded == 8 and p.n_blocks == 3
-        assert blk.b_signs.tolist() == [-1, -1, 1, -1, -1, 1, -1, -1]
-        assert blk.perm.tolist() == [5, 2, 1, 7, 0, 4, 6, 3]
+        assert p.signs[0].tolist() == [-1, -1, 1, -1, -1, 1, -1, -1]
+        assert p.perms[0].tolist() == [5, 2, 1, 7, 0, 4, 6, 3]
         np.testing.assert_allclose(
-            blk.g_gauss[:4],
+            p.gauss[0, :4],
             [0.07711641729080154, -1.303495068949402, -0.23241793517274534, 1.8091052952691824],
             rtol=1e-13,
         )
         np.testing.assert_allclose(
-            blk.s_scale[:4],
+            p.scales[0, :4],
             [2.3382207374864015, 2.5141894291830122, 1.059365802565597, 2.4113814382659933],
             rtol=1e-13,
         )
-        assert p.blocks[2].b_signs[:8].tolist() == [1, -1, -1, 1, -1, -1, 1, -1]
+        assert p.signs[2, :8].tolist() == [1, -1, -1, 1, -1, -1, 1, -1]
         out = p.project(np.arange(1.0, 7.0))
         np.testing.assert_allclose(
             out[:3],

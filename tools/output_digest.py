@@ -1,0 +1,130 @@
+"""Print one sha256 per output component of the program, for bit-identity checks.
+
+Run it on two checkouts and compare the lines: equal lines mean bit-identical
+outputs, and the name of a differing line points at the component that moved.
+
+    python3 tools/output_digest.py
+
+The inputs are fixed and there are no options.  The components:
+
+* ``presets.<method>`` -- for each of the six method presets on the standard
+  stream, seeds 0-4: every batch's probabilities and ``BatchReport``, then
+  the final telemetry, mode and CMA-ES mean;
+* ``run_prepared`` -- the per-batch rows ``run_prepared`` returns for the
+  same 30 runs;
+* ``transform`` -- the projector at (d, D) = (32, 256), (256, 3584) and
+  (2304, 34800) on fixed inputs;
+* ``cmaes`` -- 20 CMA-ES generations at d = 32, 256 and 512 on a fixed
+  quadratic;
+* ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
+  builds for ``RunConfig(seed=0..4)`` and for sub-stream 0 of the
+  ``wide-adapt`` benchmark workload.
+
+It reads only the public program API and the benchmark's workload table, so
+the same file runs on any checkout that has them.  About 90 s on a 2-CPU x86
+box.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from pace import cmaes  # noqa: E402
+from pace.bench.run import (  # noqa: E402
+    METHODS,
+    RunConfig,
+    controller_config_for_method,
+    prepare_assets,
+    run_prepared,
+)
+from pace.bench.stream import generate_stream  # noqa: E402
+from pace.controller import PaceController  # noqa: E402
+from pace.projection import FastfoodProjector  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+SEEDS = range(5)
+
+
+def feed(h, obj) -> None:
+    """Hash ``obj`` by value: arrays by dtype, shape and bytes, the rest by repr."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        feed(h, [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+    elif isinstance(obj, dict):
+        feed(h, sorted(obj.items(), key=lambda kv: repr(kv[0])))
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            feed(h, item)
+        h.update(b"]")
+    else:
+        h.update(repr(obj).encode())
+
+
+def serve_all(h, config, model, source_stats, gamma) -> None:
+    controller_cfg = controller_config_for_method(config, gamma)
+    if controller_cfg is None:
+        zero = model.zero_offset()
+        for batch in generate_stream(config.stream_config()):
+            feed(h, model.forward(zero, batch.features)[0])
+        return
+    controller = PaceController(model, source_stats, controller_cfg)
+    for batch in generate_stream(config.stream_config()):
+        feed(h, controller.process_batch(batch.features))
+    feed(h, (controller.telemetry.as_dict(), controller.mode, controller.cmaes_state.mean))
+
+
+def main() -> int:
+    digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
+    for name in ("run_prepared", "transform", "cmaes", "weights", "source_stats", "gamma"):
+        digests[name] = hashlib.sha256()
+
+    asset_configs = [RunConfig(seed=s) for s in SEEDS]
+    asset_configs.append(WORKLOADS["wide-adapt"].configs(0, 30)[0])
+    for i, base in enumerate(asset_configs):
+        model, source_stats, gamma = prepare_assets(base)
+        feed(digests["weights"], model.weights)
+        feed(digests["source_stats"], source_stats)
+        feed(digests["gamma"], gamma)
+        if i >= len(SEEDS):
+            continue  # the wide-adapt assets only
+        for method in METHODS:
+            config = dataclasses.replace(base, method=method)
+            serve_all(digests[f"presets.{method}"], config, model, source_stats, gamma)
+            rows = run_prepared(config, model, source_stats, gamma).batches
+            feed(digests["run_prepared"], rows)
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
+    for d, D in ((32, 256), (256, 3584), (2304, 34800)):
+        projector = FastfoodProjector(d, D, seed=5)
+        feed(digests["transform"], projector.transform(rng.standard_normal((12, d))))
+
+    for d in (32, 256, 512):
+        state = cmaes.init(d, tau0=0.3)
+        target = np.linspace(-1.0, 1.0, d)
+        gen_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(d)))
+        for _ in range(20):
+            population = cmaes.sample_population(state, gen_rng)
+            ranked = [
+                cmaes.RankedCandidate(v, float(np.sum((v - target) ** 2))) for v in population
+            ]
+            state, rel = cmaes.update(state, ranked)
+            feed(digests["cmaes"], (state.mean, state.step_size, state.covariance, rel))
+            feed(digests["cmaes"], (state.eig_sqrt, state.eig_basis, state.eig_iteration))
+
+    for name, h in digests.items():
+        print(f"{name} {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
