@@ -88,12 +88,11 @@ class VectorBank:
         population ``forward`` and one ``fitness`` call; each still counts as
         one logical forward pass in the reported count.  The zero vector comes
         first, so it wins ties and is returned when every candidate evaluates
-        non-finite (their scores are all ``inf``).
+        non-finite (``fitness`` scores them all ``inf``).
         """
         candidates = [np.zeros(self.dim), *self.vectors]
         probs, stats = model.forward(projector.transform(np.stack(candidates)), batch)
         scores = fitness(probs, stats, source_stats, fitness_config)
-        scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
         best = int(np.argmin(scores))
         return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist())
 

@@ -14,7 +14,6 @@ from .run import (
     calibrate_gamma_for_config,
     compare,
     prepare_assets,
-    run,
     run_prepared,
     standard_domain_sequence,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "calibrate_gamma_for_config",
     "compare",
     "prepare_assets",
-    "run",
     "run_prepared",
     "standard_domain_sequence",
 ]

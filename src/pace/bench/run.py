@@ -111,6 +111,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.arch not in ("mlp", "residual"):
             raise ValueError(f"unknown arch {self.arch!r}")
+        if self.calibration_warmup < 1:  # the detector EMA needs one batch to exist
+            raise ValueError(f"calibration_warmup must be >= 1, got {self.calibration_warmup}")
 
     def stream_config(self) -> StreamConfig:
         seq = (
@@ -399,11 +401,6 @@ def run_prepared(
     if config.out_dir:
         _write_outputs(config, report, model, source_stats, controller)
     return report
-
-
-def run(config: RunConfig) -> RunReport:
-    model, source_stats, gamma = prepare_assets(config)
-    return run_prepared(config, model, source_stats, gamma)
 
 
 def _write_outputs(config, report, model, source_stats, controller):

@@ -58,9 +58,9 @@ class ControllerConfig:
             raise ValueError("epsilon must be >= 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # also rejects NaN
             raise ValueError("gamma must be positive")
-        if self.tau0 <= 0:
+        if not self.tau0 > 0:
             raise ValueError("tau0 must be positive")
 
 
@@ -190,7 +190,6 @@ class PaceController:
         self.frozen_offset: np.ndarray | None = None
         self.ema: EmaStats | None = None
         self.telemetry = Telemetry()
-        self._batch_index = 0
 
     @property
     def mode(self) -> str:
@@ -210,7 +209,7 @@ class PaceController:
             outcome = self._process_frozen(batch)
         probs, fitness_best, rel_change, score, shift, forward_passes = outcome
         report = BatchReport(
-            batch_index=self._batch_index,
+            batch_index=self.telemetry.batches,
             mode=mode,
             fitness_best=float(fitness_best),
             rel_mean_change=float(rel_change),
@@ -218,7 +217,6 @@ class PaceController:
             shift_detected=shift,
             forward_passes=forward_passes,
         )
-        self._batch_index += 1
         self.telemetry.batches += 1
         self.telemetry.forward_passes += forward_passes
         return probs, report
@@ -271,7 +269,6 @@ class PaceController:
         offsets = self.projector.transform(population)
         probs, stats = self.model.forward(offsets, batch)
         scores = fitness(probs, stats, self.source_stats, self.fitness_config)
-        scores = np.where(stats.finite & np.isfinite(scores), scores, np.inf)
         self.telemetry.adapted_batches += 1
         forward_passes = cfg.population_size
         if not np.isfinite(scores).any():
@@ -304,9 +301,7 @@ class PaceController:
     def _process_frozen(self, batch):
         probs, stats = self.model.forward(self.frozen_offset, batch)
         forward_passes = 1
-        best_fitness = np.nan
-        if stats.finite:
-            best_fitness = fitness(probs, stats, self.source_stats, self.fitness_config)
+        best_fitness = fitness(probs, stats, self.source_stats, self.fitness_config)
         batch_stats, score, shift = self._detect(stats)
         if shift:
             forward_passes += self._shift(batch, batch_stats)

@@ -59,8 +59,11 @@ def fitness(probs, stats: ActivationStats, source: SourceStats, config: FitnessC
 
     Scores one candidate, ``probs`` of shape ``(B, C)``, as a float, or a
     population, ``(K, B, C)`` with ``(K, w)`` statistics, as a ``(K,)``
-    array whose entry k equals the score of candidate k alone.  Non-finite
-    rows score non-finite without warnings.
+    array whose entry k equals the score of candidate k alone.
+
+    A row whose probabilities are not all finite, or whose score is not
+    finite, scores ``inf``, without warnings.  Non-finite statistics make the
+    score non-finite even at ``lambda_weight = 0`` (0 * inf is nan).
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim not in (2, 3):
@@ -68,4 +71,8 @@ def fitness(probs, stats: ActivationStats, source: SourceStats, config: FitnessC
     if np.any(probs < 0):
         raise ValueError("probs contains negative entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        return entropy_term(probs) + config.lambda_weight * stats_term(stats, source)
+        score = entropy_term(probs) + config.lambda_weight * stats_term(stats, source)
+    finite = np.isfinite(probs).all(axis=(-2, -1)) & np.isfinite(score)
+    if probs.ndim == 2:
+        return score if finite else np.inf
+    return np.where(finite, score, np.inf)

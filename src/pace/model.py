@@ -100,16 +100,12 @@ class ActivationStats:
     output, shape ``(w,)`` for one offset or ``(K, w)`` for a population;
     ``stem_mean``/``stem_var`` are taken at the stem tap used for shift
     detection and are offset-invariant, so they keep shape ``(w,)``.
-    ``finite`` is False when the forward pass produced any non-finite value
-    (degenerate offsets), letting the controller rank the candidate last
-    instead of failing; for a population it is a ``(K,)`` bool array.
     """
 
     means: list[np.ndarray]
     stds: list[np.ndarray]
     stem_mean: np.ndarray
     stem_var: np.ndarray
-    finite: bool | np.ndarray = True
 
 
 @dataclass
@@ -175,18 +171,8 @@ class AdaptableModel:
             self.weights[key] = arr
         self.layers = config.layers()
         self._check_weight_shapes()
-        layout = []
-        for layer in self.layers:
-            if layer.adaptable:
-                layout.append((layer.name, "scale", config.width))
-                layout.append((layer.name, "bias", config.width))
-        self.norm_param_layout: list[tuple[str, str, int]] = layout
-        self._slices = {}
-        start = 0
-        for layer, role, length in layout:
-            self._slices[(layer, role)] = slice(start, start + length)
-            start += length
-        self.offset_dim = start
+        # a scale and a bias of width w per adaptable layer, in list order
+        self.offset_dim = 2 * config.width * sum(layer.adaptable for layer in self.layers)
 
     # -- structure ---------------------------------------------------------
 
@@ -215,16 +201,6 @@ class AdaptableModel:
                     f"weight {key} has shape {self.weights[key].shape}, expected {shape}"
                 )
 
-    def _norm_params(self, offsets: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
-        """Scale and bias of ``layer``; ``(K, 1, w)`` where a population of offsets applies."""
-        scale = self.weights[f"{layer}.ln_scale"]
-        bias = self.weights[f"{layer}.ln_bias"]
-        key = (layer, "scale")
-        if key in self._slices:
-            scale = scale + offsets[..., None, self._slices[key]]
-            bias = bias + offsets[..., None, self._slices[(layer, "bias")]]
-        return scale, bias
-
     # -- inference ---------------------------------------------------------
 
     def _activations(self, offsets: np.ndarray, X: np.ndarray):
@@ -241,15 +217,22 @@ class AdaptableModel:
         output are kept, not the output itself.
         """
         w = self.weights
+        width = self.config.width
         h = X
         stem = None
         blocks = []
+        start = 0  # each adaptable layer in turn takes a scale slice, then a bias slice
         for layer in self.layers:
             z = _linear(h, w[f"{layer.name}.w"], w[f"{layer.name}.b"])
             if stem is None:
                 stem = _moments(z)  # before z is normalized in place
             _normalize(z)
-            scale, bias = self._norm_params(offsets, layer.name)
+            scale = w[f"{layer.name}.ln_scale"]
+            bias = w[f"{layer.name}.ln_bias"]
+            if layer.adaptable:
+                scale = scale + offsets[..., None, start : start + width]
+                bias = bias + offsets[..., None, start + width : start + 2 * width]
+                start += 2 * width
             if scale.ndim > z.ndim:
                 z = z * scale  # the population axis enters: a new (K, B, w) array
             else:
@@ -272,11 +255,11 @@ class AdaptableModel:
         normalization parameters for this call only; it returns
         probabilities ``(B, C)`` and statistics of shape ``(w,)``.  Shape
         ``(K, offset_dim)`` evaluates a population of K candidates in one
-        pass: probabilities ``(K, B, C)``, per-block statistics ``(K, w)``
-        and a ``(K,)`` ``finite`` array, where row k is bit-identical to
-        ``forward(offsets[k], batch)``.  The batch must be finite;
-        non-finite *activations* (from extreme offsets) are tolerated and
-        reported through ``stats.finite``.
+        pass: probabilities ``(K, B, C)`` and per-block statistics
+        ``(K, w)``, where row k is bit-identical to ``forward(offsets[k],
+        batch)``.  The batch must be finite; non-finite *activations* (from
+        extreme offsets) are tolerated without warnings, and ``fitness``
+        scores such a candidate ``inf``.
         """
         X = check_batch(batch, "batch", width=self.config.in_dim)
         offsets = np.asarray(offsets, dtype=np.float64)
@@ -288,12 +271,7 @@ class AdaptableModel:
             probs = _softmax(logits)
             means = [mean for mean, _ in blocks]
             stds = [np.sqrt(var) for _, var in blocks]
-        finite = np.isfinite(probs).all(axis=(-2, -1))
-        for arr in means + stds:
-            finite &= np.isfinite(arr).all(axis=-1)
-        if offsets.ndim == 1:
-            finite = bool(finite)
-        return probs, ActivationStats(means, stds, stem_mean, stem_var, finite)
+        return probs, ActivationStats(means, stds, stem_mean, stem_var)
 
     def stem_moments(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Batch mean and variance of the stem tap, the first layer's pre-normalization output.

@@ -176,14 +176,14 @@ class TestRetrieveInit:
         assert result.fitnesses[0] <= result.fitnesses[1]
 
     def test_all_non_finite_falls_back_to_zero_with_flag(self, tiny_setup, monkeypatch):
-        # every candidate, the zero vector included, scores nan: the zero
+        # every candidate, the zero vector included, scores inf: the zero
         # vector still wins because it comes first
         _, model, stats = tiny_setup
         proj = FastfoodProjector(8, model.offset_dim, seed=0)
         bank = VectorBank(8, capacity=2)
         bank.archive(np.full(8, 0.1))
         monkeypatch.setattr(
-            pace.bank, "fitness", lambda probs, *args: np.full(probs.shape[0], np.nan)
+            pace.bank, "fitness", lambda probs, *args: np.full(probs.shape[0], np.inf)
         )
         batch = np.random.default_rng(3).standard_normal((8, 2))
         result = bank.retrieve_init(batch, model, proj, stats, FitnessConfig(0.4))

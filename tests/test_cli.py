@@ -73,6 +73,17 @@ class TestRunCommand:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warmup", [0, -1])
+    def test_calibration_warmup_below_one_is_config_error(self, tmp_path, capsys, warmup):
+        # without a warmup batch the detector EMA never exists to score against
+        path = tmp_path / "warmup.cfg"
+        path.write_text(
+            TINY_CONFIG.replace("calibration_warmup = 10", f"calibration_warmup = {warmup}")
+        )
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCalibrateGamma:
     def test_prints_machine_readable_gamma(self, config_file, capsys):

@@ -391,7 +391,7 @@ class TestProcessBatch:
             # the population is scored in one call; poison the first candidate's row
             scores = np.array(real_fitness(*args, **kwargs), dtype=np.float64)
             clean["scores"] = scores.copy()
-            scores[0] = np.nan
+            scores[0] = np.inf
             return scores
 
         monkeypatch.setattr(ctrl, "fitness", poisoned)
@@ -483,6 +483,10 @@ class TestProcessBatch:
             ControllerConfig(gamma=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(tau0=-1.0)
+        with pytest.raises(ValueError):
+            ControllerConfig(gamma=np.nan)
+        with pytest.raises(ValueError):
+            ControllerConfig(tau0=np.nan)
 
 
 class TestBaseWeightImmutability:

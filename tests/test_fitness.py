@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,26 @@ class TestFitness:
         for _ in range(5):
             perm = rng.permutation(10)
             assert fitness(probs[perm], stats, source, cfg) == pytest.approx(base, abs=1e-14)
+
+    def test_nan_probabilities_with_finite_statistics_rank_last(self):
+        # only the probability test sees this row: the entropy term maps nan to 0
+        rng = np.random.default_rng(4)
+        raw = rng.random((3, 5, 4))
+        clean = raw / raw.sum(axis=-1, keepdims=True)
+        stats = make_stats([rng.standard_normal((3, 2))], [rng.random((3, 2))])
+        source = make_source([[0.0, 0.0]], [[1.0, 1.0]])
+        cfg = FitnessConfig(0.4)
+        probs = clean.copy()
+        probs[1, 2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = fitness(probs, stats, source, cfg)
+            row = make_stats([stats.means[0][1]], [stats.stds[0][1]])
+            single = fitness(probs[1], row, source, cfg)
+        expected = fitness(clean, stats, source, cfg)
+        assert scores.shape == (3,) and scores[1] == np.inf
+        np.testing.assert_array_equal(scores[[0, 2]], expected[[0, 2]])
+        assert single == np.inf
 
     def test_rejects_negative_probs(self):
         stats = make_stats([[0.0]], [[1.0]])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pace.fitness import FitnessConfig, fitness
 from pace.model import (
     AdaptableModel,
     ArchitectureConfig,
@@ -106,14 +107,13 @@ def two_blob_data(n=600, seed=0):
 
 class TestLayout:
     def test_residual_freezes_first_and_last_norms(self, residual_model):
-        layers = {layer for layer, _, _ in residual_model.norm_param_layout}
+        layers = {layer.name for layer in residual_model.layers if layer.adaptable}
         assert layers == {"block1", "block2", "block3"}
         assert residual_model.offset_dim == 3 * 2 * 8
-        assert sum(length for _, _, length in residual_model.norm_param_layout) == 48
 
     def test_mlp_adapts_both_norm_layers(self, mlp_model):
-        layers = [layer for layer, _, _ in mlp_model.norm_param_layout]
-        assert layers == ["layer1", "layer1", "layer2", "layer2"]
+        layers = [layer.name for layer in mlp_model.layers if layer.adaptable]
+        assert layers == ["layer1", "layer2"]
         assert mlp_model.offset_dim == 2 * 2 * 8
 
     def test_layer_lists(self):
@@ -195,8 +195,10 @@ class TestForward:
 
     def test_extreme_offset_flagged_not_raised(self, residual_model):
         offset = np.full(residual_model.offset_dim, 1e308)
-        probs, stats = residual_model.forward(offset, np.ones((4, 3)))
-        assert stats.finite is False
+        X = np.ones((4, 3))
+        probs, stats = residual_model.forward(offset, X)
+        source = compute_source_stats(residual_model, [X])
+        assert fitness(probs, stats, source, FitnessConfig(0.4)) == np.inf
 
     def test_offset_locality(self, residual_model):
         # offsets on block2 must not change block1 activations
@@ -204,10 +206,10 @@ class TestForward:
         X = rng.standard_normal((8, 3))
         offset = np.zeros(residual_model.offset_dim)
         _, base = residual_model.forward(offset, X)
-        for layer, role, _ in residual_model.norm_param_layout:
-            if layer == "block2":
-                sl = residual_model._slices[(layer, role)]
-                offset[sl] = rng.standard_normal(sl.stop - sl.start)
+        adaptable = [layer.name for layer in residual_model.layers if layer.adaptable]
+        w = residual_model.config.width
+        start = 2 * w * adaptable.index("block2")  # its scale slice, then its bias slice
+        offset[start : start + 2 * w] = rng.standard_normal(2 * w)
         _, shifted = residual_model.forward(offset, X)
         np.testing.assert_array_equal(shifted.means[0], base.means[0])
         assert not np.array_equal(shifted.means[1], base.means[1])
