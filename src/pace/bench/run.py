@@ -113,6 +113,10 @@ class RunConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if self.calibration_warmup < 1:  # the detector EMA needs one batch to exist
             raise ValueError(f"calibration_warmup must be >= 1, got {self.calibration_warmup}")
+        if self.train_epochs < 0:
+            raise ValueError(f"train_epochs must be >= 0, got {self.train_epochs}")
+        if not self.blob_std >= 0:  # the not-form also rejects nan
+            raise ValueError(f"blob_std must be >= 0, got {self.blob_std}")
 
     def stream_config(self) -> StreamConfig:
         seq = (

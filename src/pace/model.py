@@ -19,6 +19,18 @@ them: every forward call takes an offset vector (or a population of them, one
 per row) that is partitioned across the adaptable normalization scale/bias
 vectors and added functionally.
 
+Precision: the forward serves in float32 from the first layer's normalized
+output onward.  The first layer's linear map (weights, GEMM, the stem tap and
+its normalization) is float64, so the stem statistics and everything read
+from them (shift detection, gamma calibration) are exact float64; every
+finite batch is bounded there (|xhat| <= sqrt(w)), so no input overflows
+float32 later.  Its normalized output is cast to float32 once, every later
+weight is stored only as float32, and offsets are cast at the add.  Outputs
+are float64: block moments accumulate in float64 and logits are promoted
+before the softmax.  Against a float64 forward with the same weights
+(``tests/test_population.py``), probabilities stay within 1e-4 absolute and
+fitness within 1e-4 relative.
+
 Each layer works in place: the bias add, the normalization, the affine, the
 ReLU and the skip connection overwrite the array the layer's GEMM created
 instead of allocating one array per step.  The ufuncs, their operands and
@@ -27,7 +39,8 @@ bit-identical to them; only the destinations differ.  The caller's batch and
 offsets are never written.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
-locally; adaptation itself never computes gradients.
+locally, in float64 on its own weight dictionary; adaptation itself never
+computes gradients.
 """
 from __future__ import annotations
 
@@ -118,19 +131,22 @@ class SourceStats:
 
 
 def _moments(x):
-    """Per-feature mean and variance over the batch axis, the second to last.
+    """Per-feature float64 mean and variance over the batch axis, the second to last.
 
     ``x`` itself is left untouched: the centred copy, the one full-size array
-    this allocates, is squared in place.  The same operations as ``np.mean`` and
-    ``np.var``, so bit-identical to them, but the mean is summed once and the
-    Python wrappers are skipped; with ``np.mean``/``np.var`` a frozen toy-mlp
-    forward (B=64) took about 0.42 ms instead of 0.30 ms on a 2-CPU x86 box.
+    this allocates, is squared in place.  For float64 ``x`` these are the same
+    operations as ``np.mean`` and ``np.var``, so bit-identical to them, but the
+    mean is summed once and the Python wrappers are skipped; with
+    ``np.mean``/``np.var`` a frozen toy-mlp forward (B=64) took about 0.42 ms
+    instead of 0.30 ms on a 2-CPU x86 box.  For float32 ``x`` the centred copy
+    stays float32 and both sums accumulate in float64, so a batch of repeated
+    rows keeps an exactly zero variance.
     """
     n = x.shape[-2]
-    mean = np.add.reduce(x, axis=-2, keepdims=True) / n
-    squares = x - mean
+    mean = np.add.reduce(x, axis=-2, keepdims=True, dtype=np.float64) / n
+    squares = x - mean.astype(x.dtype, copy=False)
     squares *= squares
-    return mean[..., 0, :], np.add.reduce(squares, axis=-2) / n
+    return mean[..., 0, :], np.add.reduce(squares, axis=-2, dtype=np.float64) / n
 
 
 def _normalize(z):
@@ -164,12 +180,15 @@ class AdaptableModel:
 
     def __init__(self, config: ArchitectureConfig, weights: dict):
         self.config = config
-        self.weights = dict(weights)
-        for key, arr in self.weights.items():
-            arr = np.asarray(arr, dtype=np.float64)
+        self.layers = config.layers()
+        # the first linear map feeds the stem tap and stays float64; the rest serves in float32
+        first = self.layers[0].name
+        self.weights = {}
+        for key, arr in weights.items():
+            dtype = np.float64 if key in (f"{first}.w", f"{first}.b") else np.float32
+            arr = np.array(arr, dtype=dtype)
             arr.flags.writeable = False  # base weights are immutable
             self.weights[key] = arr
-        self.layers = config.layers()
         self._check_weight_shapes()
         # a scale and a bias of width w per adaptable layer, in list order
         self.offset_dim = 2 * config.width * sum(layer.adaptable for layer in self.layers)
@@ -213,8 +232,12 @@ class AdaptableModel:
         layer and its normalized activations, the residual model's fixed stem
         and its first block's linear layer.  From there on activations are
         ``(K, B, w)`` and each linear layer is one ``(K*B, w)`` GEMM whose
-        result the rest of the layer overwrites.  Only the moments of a block
-        output are kept, not the output itself.
+        result the rest of the layer overwrites.  The head is one ``(B, w)``
+        GEMM per candidate, so row k of the logits is bit-identical to a
+        one-offset call; one flat ``(K*B, w) @ (w, C)`` GEMM is not at every
+        shape.  Only the moments of a block output are kept, not the output
+        itself.  The first layer's normalized output is cast to float32, and
+        the logits are float32.
         """
         w = self.weights
         width = self.config.width
@@ -227,11 +250,14 @@ class AdaptableModel:
             if stem is None:
                 stem = _moments(z)  # before z is normalized in place
             _normalize(z)
+            z = z.astype(np.float32, copy=False)  # casts the first layer's xhat only
             scale = w[f"{layer.name}.ln_scale"]
             bias = w[f"{layer.name}.ln_bias"]
             if layer.adaptable:
-                scale = scale + offsets[..., None, start : start + width]
-                bias = bias + offsets[..., None, start + width : start + 2 * width]
+                scale = np.add(scale, offsets[..., None, start : start + width], dtype=np.float32)
+                bias = np.add(
+                    bias, offsets[..., None, start + width : start + 2 * width], dtype=np.float32
+                )
                 start += 2 * width
             if scale.ndim > z.ndim:
                 z = z * scale  # the population axis enters: a new (K, B, w) array
@@ -245,7 +271,8 @@ class AdaptableModel:
             h = z
             if layer.relu:
                 blocks.append(_moments(h))
-        logits = _linear(h, w["head.w"], w["head.b"])
+        logits = np.matmul(h, w["head.w"])
+        logits += w["head.b"]
         return logits, blocks, stem
 
     def forward(self, offsets, batch) -> tuple[np.ndarray, ActivationStats]:
@@ -258,8 +285,8 @@ class AdaptableModel:
         pass: probabilities ``(K, B, C)`` and per-block statistics
         ``(K, w)``, where row k is bit-identical to ``forward(offsets[k],
         batch)``.  The batch must be finite; non-finite *activations* (from
-        extreme offsets) are tolerated without warnings, and ``fitness``
-        scores such a candidate ``inf``.
+        extreme offsets, such as one beyond float32 range) are tolerated
+        without warnings, and ``fitness`` scores such a candidate ``inf``.
         """
         X = check_batch(batch, "batch", width=self.config.in_dim)
         offsets = np.asarray(offsets, dtype=np.float64)
@@ -268,7 +295,7 @@ class AdaptableModel:
         offsets = check_array(offsets, "offset", length=self.offset_dim)
         with np.errstate(over="ignore", invalid="ignore"):
             logits, blocks, (stem_mean, stem_var) = self._activations(offsets, X)
-            probs = _softmax(logits)
+            probs = _softmax(logits.astype(np.float64))
             means = [mean for mean, _ in blocks]
             stds = [np.sqrt(var) for _, var in blocks]
         return probs, ActivationStats(means, stds, stem_mean, stem_var)
@@ -294,60 +321,8 @@ class AdaptableModel:
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
-    # -- training (pre-deployment only) -------------------------------------
 
-    def _forward_train(self, X: np.ndarray):
-        """Forward pass with cached intermediates for backprop (zero offsets).
-
-        The cache is ``(h_in, n, xhat, inv_std)`` per layer, in layer order,
-        plus the activations that enter the head.
-        """
-        w = self.weights
-        per_layer = []
-        h = X
-        for layer in self.layers:
-            name = layer.name
-            xhat = _linear(h, w[f"{name}.w"], w[f"{name}.b"])
-            inv_std = _normalize(xhat)
-            # a new array: backward reads both xhat and n
-            n = xhat * w[f"{name}.ln_scale"]
-            n += w[f"{name}.ln_bias"]
-            per_layer.append((h, n, xhat, inv_std))
-            a = np.maximum(n, 0.0) if layer.relu else n
-            h = h + a if layer.skip else a
-        logits = _linear(h, w["head.w"], w["head.b"])
-        return logits, (per_layer, h)
-
-    @staticmethod
-    def _layer_norm_backward(d_out, xhat, inv_std, scale):
-        d_scale = (d_out * xhat).sum(axis=0)
-        d_bias = d_out.sum(axis=0)
-        d_xhat = d_out * scale
-        d_z = inv_std * (
-            d_xhat
-            - d_xhat.mean(axis=1, keepdims=True)
-            - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return d_z, d_scale, d_bias
-
-    def _backward(self, cache, d_logits: np.ndarray) -> dict:
-        w = self.weights
-        per_layer, h = cache
-        grads = {"head.w": h.T @ d_logits, "head.b": d_logits.sum(axis=0)}
-        d_h = d_logits @ w["head.w"].T
-        for layer, (h_in, n, xhat, inv_std) in zip(reversed(self.layers), reversed(per_layer)):
-            name = layer.name
-            d_n = d_h * (n > 0) if layer.relu else d_h
-            d_z, d_scale, d_bias = self._layer_norm_backward(
-                d_n, xhat, inv_std, w[f"{name}.ln_scale"]
-            )
-            grads[f"{name}.ln_scale"] = d_scale
-            grads[f"{name}.ln_bias"] = d_bias
-            grads[f"{name}.w"] = h_in.T @ d_z
-            grads[f"{name}.b"] = d_z.sum(axis=0)
-            d_in = d_z @ w[f"{name}.w"].T
-            d_h = d_h + d_in if layer.skip else d_in
-        return grads
+# -- training (pre-deployment only) -----------------------------------------
 
 
 def _init_weights(config: ArchitectureConfig, rng: np.random.Generator) -> dict:
@@ -367,6 +342,58 @@ def _init_weights(config: ArchitectureConfig, rng: np.random.Generator) -> dict:
     return weights
 
 
+def _forward_train(layers: list[Layer], w: dict, X: np.ndarray):
+    """Float64 forward pass over the weight dict ``w`` with cached intermediates (zero offsets).
+
+    The cache is ``(h_in, n, xhat, inv_std)`` per layer, in layer order,
+    plus the activations that enter the head.
+    """
+    per_layer = []
+    h = X
+    for layer in layers:
+        name = layer.name
+        xhat = _linear(h, w[f"{name}.w"], w[f"{name}.b"])
+        inv_std = _normalize(xhat)
+        # a new array: backward reads both xhat and n
+        n = xhat * w[f"{name}.ln_scale"]
+        n += w[f"{name}.ln_bias"]
+        per_layer.append((h, n, xhat, inv_std))
+        a = np.maximum(n, 0.0) if layer.relu else n
+        h = h + a if layer.skip else a
+    logits = _linear(h, w["head.w"], w["head.b"])
+    return logits, (per_layer, h)
+
+
+def _layer_norm_backward(d_out, xhat, inv_std, scale):
+    d_scale = (d_out * xhat).sum(axis=0)
+    d_bias = d_out.sum(axis=0)
+    d_xhat = d_out * scale
+    d_z = inv_std * (
+        d_xhat
+        - d_xhat.mean(axis=1, keepdims=True)
+        - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
+    )
+    return d_z, d_scale, d_bias
+
+
+def _backward(layers: list[Layer], w: dict, cache, d_logits: np.ndarray) -> dict:
+    """Gradients of every weight in ``w``, given ``_forward_train``'s cache and the logit gradient."""
+    per_layer, h = cache
+    grads = {"head.w": h.T @ d_logits, "head.b": d_logits.sum(axis=0)}
+    d_h = d_logits @ w["head.w"].T
+    for layer, (h_in, n, xhat, inv_std) in zip(reversed(layers), reversed(per_layer)):
+        name = layer.name
+        d_n = d_h * (n > 0) if layer.relu else d_h
+        d_z, d_scale, d_bias = _layer_norm_backward(d_n, xhat, inv_std, w[f"{name}.ln_scale"])
+        grads[f"{name}.ln_scale"] = d_scale
+        grads[f"{name}.ln_bias"] = d_bias
+        grads[f"{name}.w"] = h_in.T @ d_z
+        grads[f"{name}.b"] = d_z.sum(axis=0)
+        d_in = d_z @ w[f"{name}.w"].T
+        d_h = d_h + d_in if layer.skip else d_in
+    return grads
+
+
 def pretrain(
     config: ArchitectureConfig,
     X,
@@ -374,7 +401,11 @@ def pretrain(
     seed: int = 0,
     epochs: int = 60,
 ) -> AdaptableModel:
-    """Train base weights on labeled source data with Adam; deterministic per seed."""
+    """Train base weights on labeled source data with Adam; deterministic per seed.
+
+    Training runs in float64 on its own weight dict, which is cast into the
+    model's serving precision once, at the end.
+    """
     X = check_batch(X, "X", width=config.in_dim)
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (X.shape[0],):
@@ -383,10 +414,8 @@ def pretrain(
         raise ValueError("labels out of range")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(101,))))
-    model = AdaptableModel(config, _init_weights(config, rng))
-    # re-point to writable copies for the duration of training
-    weights = {k: v.copy() for k, v in model.weights.items()}
-    model.weights = weights
+    layers = config.layers()
+    weights = _init_weights(config, rng)
 
     onehot = np.eye(config.class_count)[y]
     mated = {k: np.zeros_like(v) for k, v in weights.items()}
@@ -398,10 +427,10 @@ def pretrain(
         order = rng.permutation(n_samples)
         for lo in range(0, n_samples, _TRAIN_BATCH):
             idx = order[lo : lo + _TRAIN_BATCH]
-            logits, cache = model._forward_train(X[idx])
+            logits, cache = _forward_train(layers, weights, X[idx])
             probs = _softmax(logits)
             d_logits = (probs - onehot[idx]) / idx.shape[0]
-            grads = model._backward(cache, d_logits)
+            grads = _backward(layers, weights, cache, d_logits)
             step += 1
             for key, g in grads.items():
                 mated[key] = beta1 * mated[key] + (1 - beta1) * g

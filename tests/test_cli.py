@@ -84,6 +84,21 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("train_epochs = -1", id="train_epochs"),
+            pytest.param("blob_std = -1", id="blob_std"),
+        ],
+    )
+    def test_negative_setting_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "negative.cfg"
+        path.write_text(TINY_CONFIG + line + "\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{line.split()[0]} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrateGamma:
     def test_prints_machine_readable_gamma(self, config_file, capsys):

@@ -7,6 +7,8 @@ from pace.fitness import FitnessConfig, fitness
 from pace.model import (
     AdaptableModel,
     ArchitectureConfig,
+    _backward,
+    _forward_train,
     _init_weights,
     _softmax,
     compute_source_stats,
@@ -30,13 +32,12 @@ def mlp_model():
     return AdaptableModel(cfg, _init_weights(cfg, rng))
 
 
-def _reference_train(model: AdaptableModel, X, onehot):
-    """Logits and gradients, each architecture written out on its own in plain numpy.
+def _reference_train(config: ArchitectureConfig, w: dict, X, onehot):
+    """Logits and gradients over the weight dict ``w``, each architecture written out on its own.
 
     This is the per-architecture training code the single layer loop
     replaced, kept as the reference it must match bit for bit.
     """
-    w = model.weights
 
     def layer_norm(z, layer):
         mu = z.mean(axis=1, keepdims=True)
@@ -66,7 +67,7 @@ def _reference_train(model: AdaptableModel, X, onehot):
         return d_z @ w[f"{layer}.w"].T
 
     cache = {}
-    if model.config.kind == "mlp":
+    if config.kind == "mlp":
         h = X
         for layer in ("layer1", "layer2"):
             n, xhat, inv_std = layer_norm(h @ w[f"{layer}.w"] + w[f"{layer}.b"], layer)
@@ -79,7 +80,7 @@ def _reference_train(model: AdaptableModel, X, onehot):
             h_in, n, xhat, inv_std = cache[layer]
             d_h = layer_backward(layer, d_h * (n > 0), h_in, xhat, inv_std)
     else:
-        blocks = [f"block{i}" for i in range(1, model.config.blocks + 1)]
+        blocks = [f"block{i}" for i in range(1, config.blocks + 1)]
         h, stem_xhat, stem_inv_std = layer_norm(X @ w["stem.w"] + w["stem.b"], "stem")
         for layer in blocks:
             n, xhat, inv_std = layer_norm(h @ w[f"{layer}.w"] + w[f"{layer}.b"], layer)
@@ -140,6 +141,14 @@ class TestLayout:
         with pytest.raises(ValueError):
             mlp_model.weights["head.w"][0, 0] = 99.0
 
+    @pytest.mark.parametrize("fixture", ["mlp_model", "residual_model"])
+    def test_first_linear_map_is_float64_and_the_rest_float32(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        first = model.layers[0].name
+        for key, arr in model.weights.items():
+            expected = np.float64 if key in (f"{first}.w", f"{first}.b") else np.float32
+            assert arr.dtype == expected, key
+
 
 class TestForward:
     def test_zero_offset_matches_unadapted_model_bit_exact(self, residual_model):
@@ -176,6 +185,23 @@ class TestForward:
         np.testing.assert_allclose(stats.stem_var, 0.0, atol=1e-18)
         for sd in stats.stds:
             np.testing.assert_allclose(sd, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["mlp_model", "residual_model"])
+    def test_batch_beyond_float32_range_is_served(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((16, 3))
+        X[3, 1] = 1e39  # finite in float64, inf in float32
+        offset = 0.1 * rng.standard_normal(model.offset_dim)
+        probs, stats = model.forward(offset, X)
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        # the stem tap as a float64 forward computes it
+        first = model.layers[0].name
+        z = X @ model.weights[f"{first}.w"] + model.weights[f"{first}.b"]
+        expected = (z.mean(axis=0), z.var(axis=0))
+        np.testing.assert_array_equal(model.stem_moments(X), expected)
+        np.testing.assert_array_equal((stats.stem_mean, stats.stem_var), expected)
 
     def test_rejects_non_finite_batch(self, residual_model):
         X = np.ones((4, 3))
@@ -306,25 +332,25 @@ class TestGradients:
     def test_backprop_matches_finite_differences(self, kind):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
         cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=3, width=6, blocks=2)
-        model = AdaptableModel(cfg, _init_weights(cfg, rng))
-        model.weights = {k: v.copy() for k, v in model.weights.items()}
+        layers = cfg.layers()
+        weights = _init_weights(cfg, rng)  # the float64 dict pretrain trains
         X = rng.standard_normal((5, 3))
         y = np.array([0, 1, 2, 1, 0])
         onehot = np.eye(3)[y]
 
         def loss():
-            logits, _ = model._forward_train(X)
+            logits, _ = _forward_train(layers, weights, X)
             probs = _softmax(logits)
             return -np.mean(np.log(probs[np.arange(5), y]))
 
-        logits, cache = model._forward_train(X)
+        logits, cache = _forward_train(layers, weights, X)
         probs = _softmax(logits)
-        grads = model._backward(cache, (probs - onehot) / 5)
+        grads = _backward(layers, weights, cache, (probs - onehot) / 5)
         eps = 1e-6
         check = np.random.default_rng(0)
         for key in ("head.w", f"{'layer1' if kind == 'mlp' else 'stem'}.w",
                     f"{'layer2' if kind == 'mlp' else 'block1'}.ln_scale"):
-            arr = model.weights[key]
+            arr = weights[key]
             for _ in range(4):
                 idx = tuple(check.integers(0, s) for s in arr.shape)
                 orig = arr[idx]
@@ -345,14 +371,14 @@ class TestGradients:
             k: v + 0.3 * rng.standard_normal(v.shape)
             for k, v in _init_weights(cfg, rng).items()
         }
-        model = AdaptableModel(cfg, weights)
         X = rng.standard_normal((11, 3))
         onehot = np.eye(4)[rng.integers(0, 4, 11)]
-        ref_logits, ref_grads = _reference_train(model, X, onehot)
-        logits, cache = model._forward_train(X)
-        grads = model._backward(cache, (_softmax(logits) - onehot) / 11)
+        ref_logits, ref_grads = _reference_train(cfg, weights, X, onehot)
+        layers = cfg.layers()
+        logits, cache = _forward_train(layers, weights, X)
+        grads = _backward(layers, weights, cache, (_softmax(logits) - onehot) / 11)
         np.testing.assert_array_equal(logits, ref_logits)
-        assert set(grads) == set(ref_grads) == set(model.weights)
+        assert set(grads) == set(ref_grads) == set(weights)
         for key, grad in grads.items():
             np.testing.assert_array_equal(grad, ref_grads[key], err_msg=key)
 
@@ -367,6 +393,7 @@ class TestCheckpoint:
         loaded, loaded_stats = load_checkpoint(path)
         assert loaded.config == mlp_model.config
         for key in mlp_model.weights:
+            assert loaded.weights[key].dtype == mlp_model.weights[key].dtype, key
             np.testing.assert_array_equal(loaded.weights[key], mlp_model.weights[key])
         for a, b in zip(stats.means, loaded_stats.means):
             np.testing.assert_array_equal(a, b)
@@ -391,6 +418,35 @@ class TestCheckpoint:
         assert loaded.config == mlp_model.config
         assert loaded_stats.sample_count == 32
         for a, b in zip(stats.stds, loaded_stats.stds):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["mlp", "residual"])
+    def test_float64_checkpoint_loads_to_the_same_model(self, tmp_path, kind):
+        # pretraining's own weights are float64; a checkpoint of them loads cast
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+        cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=8, blocks=3)
+        weights = {
+            k: v + 0.3 * rng.standard_normal(v.shape)
+            for k, v in _init_weights(cfg, rng).items()
+        }
+        model = AdaptableModel(cfg, weights)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays.update({f"weight.{k}": v for k, v in weights.items()})
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded, _ = load_checkpoint(path)
+        for key, arr in model.weights.items():
+            assert loaded.weights[key].dtype == arr.dtype, key
+            np.testing.assert_array_equal(loaded.weights[key], arr)
+        X = rng.standard_normal((16, 3))
+        offsets = 0.2 * rng.standard_normal((3, model.offset_dim))
+        probs, stats = model.forward(offsets, X)
+        loaded_probs, loaded_stats = loaded.forward(offsets, X)
+        np.testing.assert_array_equal(loaded_probs, probs)
+        for a, b in zip(stats.means + stats.stds, loaded_stats.means + loaded_stats.stds):
             np.testing.assert_array_equal(a, b)
 
     def test_round_trip_without_stats(self, tmp_path, mlp_model):
