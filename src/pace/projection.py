@@ -36,21 +36,33 @@ def fwht(x) -> np.ndarray:
 
     Input length must be a power of two.  Returns ``H @ x`` computed with the
     O(n log n) butterfly; applying it twice yields ``n * x``.
+
+    The rows are moved innermost (the input is transposed once to ``(n, rows)``),
+    so each stage is one copy, one in-place add and one in-place subtract over
+    runs of ``h * rows`` contiguous elements rather than numpy calls on runs of
+    ``h``.  The pairs ``(i, i + h)``, the stage order and the operations
+    (``even + odd``, ``even - odd``) are those of the textbook loop, so the
+    output is bit-identical to it.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0:
+        raise ValueError(f"fwht needs at least one axis, got shape {arr.shape}")
     n = arr.shape[-1]
     if not is_power_of_two(n):
         raise ValueError(f"fwht length must be a power of two, got {n}")
-    out = arr.reshape(-1, n).copy()
+    out = arr.reshape(-1, n).T.copy()
+    rows = out.shape[1]
+    buf = np.empty(n // 2 * rows)
     h = 1
     while h < n:
-        y = out.reshape(-1, n // (2 * h), 2, h)
-        even = y[:, :, 0, :].copy()
-        odd = y[:, :, 1, :]
-        y[:, :, 0, :] = even + odd
-        y[:, :, 1, :] = even - odd
+        y = out.reshape(n // (2 * h), 2, h * rows)
+        even = buf.reshape(n // (2 * h), h * rows)
+        np.copyto(even, y[:, 0])
+        odd = y[:, 1]
+        y[:, 0] += odd
+        np.subtract(even, odd, out=odd)
         h *= 2
-    return out.reshape(arr.shape)
+    return out.T.reshape(arr.shape)
 
 
 def _component_rng(seed: int, block_index: int, tag: int) -> np.random.Generator:
@@ -128,12 +140,15 @@ class FastfoodProjector:
         """
         V = check_array(V, "input", ndim=2, length=self.d)
         n = V.shape[0]
+        width = self.n_blocks * self.d_padded
         padded = np.zeros((n, 1, self.d_padded), dtype=np.float64)
         padded[:, 0, : self.d] = V
         u = fwht(padded * self.signs)
-        u = fwht(np.take_along_axis(u, self.perms[None], axis=-1) * self.gauss)
+        # row i of perms, offset to block i of each sample's flattened blocks
+        flat_perms = self.perms + np.arange(0, width, self.d_padded)[:, None]
+        u = fwht(np.take(u.reshape(n, width), flat_perms, axis=1) * self.gauss)
         u = u * (self.scales * self._output_scale)
-        return u.reshape(n, -1)[:, : self.D]
+        return u.reshape(n, width)[:, : self.D]
 
     def project(self, v) -> np.ndarray:
         """Project a single vector of length ``d`` to length ``D``."""

@@ -196,8 +196,10 @@ def test_all_blocks_transform_matches_per_block_reference():
     rng = np.random.default_rng(7)
     for d, D in [(32, 256), (6, 20), (16, 1000), (256, 3584)]:
         p = FastfoodProjector(d=d, D=D, seed=d)
-        V = rng.standard_normal((12, d))
-        np.testing.assert_array_equal(p.transform(V), _reference_transform(p, V))
+        # a population, a full-bank retrieval and a single vector
+        for rows in (12, 31, 1):
+            V = rng.standard_normal((rows, d))
+            np.testing.assert_array_equal(p.transform(V), _reference_transform(p, V))
 
 
 def test_full_bank_retrieval_matches_candidate_by_candidate_scoring(tiny_setup):

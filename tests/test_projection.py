@@ -28,7 +28,55 @@ def explicit_block_matrix(p: FastfoodProjector, index: int = 0) -> np.ndarray:
     return S @ H @ G @ P @ H @ B / (p.d_padded * np.sqrt(p.d))
 
 
+def strided_fwht(x) -> np.ndarray:
+    """The textbook butterfly: each stage over strided slices of inner length ``h``."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.shape[-1]
+    out = arr.reshape(-1, n).copy()
+    h = 1
+    while h < n:
+        y = out.reshape(-1, n // (2 * h), 2, h)
+        even = y[:, :, 0, :].copy()
+        odd = y[:, :, 1, :]
+        y[:, :, 0, :] = even + odd
+        y[:, :, 1, :] = even - odd
+        h *= 2
+    return out.reshape(arr.shape)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+_rng = np.random.default_rng(12)
+BUTTERFLY_INPUTS = {
+    "1d-n1": _rng.standard_normal(1),
+    "1d-n2": _rng.standard_normal(2),
+    "1d-n8": _rng.standard_normal(8),
+    "wide-population": _rng.standard_normal((12, 14, 256)),
+    "full-bank": _rng.standard_normal((31, 8, 32)),
+    "zero-rows": np.zeros((0, 8)),
+    "integer": _rng.integers(-50, 50, size=(5, 16)),
+    "transposed-view": _rng.standard_normal((64, 6)).T,
+    "read-only": _read_only(_rng.standard_normal((7, 32))),
+}
+
+
 class TestFwht:
+    @pytest.mark.parametrize("name", list(BUTTERFLY_INPUTS))
+    def test_bit_identical_to_strided_butterfly(self, name):
+        x = BUTTERFLY_INPUTS[name]
+        before = x.copy()
+        out = fwht(x)
+        assert out.shape == x.shape and out.dtype == np.float64
+        np.testing.assert_array_equal(out, strided_fwht(x))
+        np.testing.assert_array_equal(x, before)  # the input comes back unwritten
+
+    def test_rejects_zero_dimensional_input(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            fwht(3.0)
+
     def test_impulse_gives_all_ones(self):
         np.testing.assert_array_equal(fwht([1.0, 0.0, 0.0, 0.0]), [1.0, 1.0, 1.0, 1.0])
 
@@ -197,6 +245,11 @@ class TestProject:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(3)
         np.testing.assert_allclose(p.project(v), M @ v, atol=1e-10)
+
+    def test_transform_of_zero_rows_is_empty(self):
+        p = FastfoodProjector(d=4, D=10, seed=0)
+        out = p.transform(np.zeros((0, 4)))
+        assert out.shape == (0, 10) and out.dtype == np.float64
 
     def test_transform_rows_match_project(self):
         p = FastfoodProjector(d=4, D=9, seed=8)

@@ -23,16 +23,25 @@ The inputs are fixed and there are no options.  The components:
 It reads only the public program API and the benchmark's workload table, so
 the same file runs on any checkout that has them.  About 90 s on a 2-CPU x86
 box.
+
+The BLAS thread count changes the rounding of some products (the ``cmaes``
+line moves with it), so before numpy loads the tool sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+unless they are already set, as ``perfbench/run.py`` does.  Digests are
+comparable only between runs at the same setting.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads
 
 import numpy as np  # noqa: E402
 
