@@ -90,7 +90,7 @@ def shift_score(a: EmaStats, b: EmaStats) -> float:
     degenerate batches from producing infinities.  Identical statistics score
     exactly 0.
     """
-    mean_a = check_array(a.mean, "mean")
+    mean_a = check_array(a.mean, "mean", ndim=1)
     n = mean_a.shape[-1]
     mean_b = check_array(b.mean, "mean", length=n)
     var_a = check_array(a.var, "variance", length=n)

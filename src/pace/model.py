@@ -27,16 +27,20 @@ finite batch is bounded there (|xhat| <= sqrt(w)), so no input overflows
 float32 later.  Its normalized output is cast to float32 once, every later
 weight is stored only as float32, and offsets are cast at the add.  Outputs
 are float64: block moments accumulate in float64 and logits are promoted
-before the softmax.  Against a float64 forward with the same weights
-(``tests/test_population.py``), probabilities stay within 1e-4 absolute and
-fitness within 1e-4 relative.
+before the softmax.  Layer-norm row statistics are BLAS dots (below).
+Against a float64 forward with the same weights and ``np.mean``/``np.var``
+layer norms (``tests/test_population.py``), probabilities stay within 1e-4
+absolute and fitness within 1e-4 relative.
 
 Each layer works in place: the bias add, the normalization, the affine, the
 ReLU and the skip connection overwrite the array the layer's GEMM created
-instead of allocating one array per step.  The ufuncs, their operands and
-their order are those of the allocating expressions, so every output is
-bit-identical to them; only the destinations differ.  The caller's batch and
-offsets are never written.
+instead of allocating one array per step.  All but the normalization are the
+ufuncs of the allocating expressions in the same order, so bit-identical to
+them.  The serving layer norm (``_serve_normalize``) takes each row's
+statistics by one BLAS dot per row, in the layer's precision and with no
+``z * z`` temporary, so it differs from ``_normalize`` by rounding only (at
+most 1e-5 in float32, 1e-13 in float64).  The caller's batch and offsets are
+never written.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally, in float64 on its own weight dictionary; adaptation itself never
@@ -150,16 +154,32 @@ def _moments(x):
 
 
 def _normalize(z):
-    """Layer-normalize ``z`` over its last axis in place, leaving ``xhat`` in it.
+    """The training layer norm: normalize ``z`` over its last axis in place, leaving ``xhat``.
 
-    Returns ``inv_std``.  The ufuncs and their order are those of
-    ``(z - mean) * (1 / sqrt(var + eps))``, so ``xhat`` is bit-identical to it.
+    Returns ``inv_std``, which ``_backward`` reads.  The ufuncs and their order
+    are those of ``(z - mean) * (1 / sqrt(var + eps))``, so ``xhat`` is
+    bit-identical to it.
     """
     n = z.shape[-1]
     z -= np.add.reduce(z, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / n + _LN_EPS)
     z *= inv_std
     return inv_std
+
+
+def _serve_normalize(z):
+    """The serving layer norm: normalize ``z`` over its last axis in place, leaving ``xhat``.
+
+    Each row's sum, and once the row is centred its sum of squares, is one
+    BLAS dot per row: a stacked ``(1, n) @ (n, 1)`` matmul, as ``fitness._norm``
+    takes its norms.  No full-size ``z * z`` temporary is made.  One dot per
+    row, not one GEMV over all rows, so that identical rows get identical bits.
+    ``xhat`` differs from ``_normalize``'s by rounding only.
+    """
+    n = z.shape[-1]
+    rows = z[..., None, :]
+    z -= np.matmul(rows, np.ones((n, 1), z.dtype))[..., 0] / n
+    z *= 1.0 / np.sqrt(np.matmul(rows, z[..., :, None])[..., 0] / n + _LN_EPS)
 
 
 def _linear(h, weight, bias):
@@ -249,7 +269,7 @@ class AdaptableModel:
             z = _linear(h, w[f"{layer.name}.w"], w[f"{layer.name}.b"])
             if stem is None:
                 stem = _moments(z)  # before z is normalized in place
-            _normalize(z)
+            _serve_normalize(z)
             z = z.astype(np.float32, copy=False)  # casts the first layer's xhat only
             scale = w[f"{layer.name}.ln_scale"]
             bias = w[f"{layer.name}.ln_bias"]

@@ -19,8 +19,8 @@ def check_array(
     arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if length is not None and arr.shape[-1] != length:
-        raise ValueError(f"{name} must have length {length}, got {arr.shape[-1]}")
+    if length is not None and arr.shape[-1:] != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -44,7 +44,11 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_positive_int(value: int, name: str) -> int:
-    if int(value) != value or value < 1:
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):  # inf, nan
+        integral = False
+    if not integral or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return int(value)
 

@@ -81,6 +81,13 @@ class TestShiftScore:
         with pytest.raises(ValueError, match="non-negative"):
             shift_score(a, b)
 
+    def test_zero_dimensional_statistics_rejected(self):
+        scalar = EmaStats(np.float64(1.0), np.float64(1.0))
+        vector = EmaStats(np.zeros(3), np.ones(3))
+        for pair in ((scalar, vector), (vector, scalar)):
+            with pytest.raises(ValueError, match=r"shape \(\)"):
+                shift_score(*pair)
+
     @pytest.mark.parametrize("var", [[4.0], [1.0, 1.0, np.nan, 1.0]])
     def test_variance_checked_like_the_mean(self, var):
         # a length-1 variance would broadcast; a NaN one would score nan

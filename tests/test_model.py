@@ -10,6 +10,8 @@ from pace.model import (
     _backward,
     _forward_train,
     _init_weights,
+    _normalize,
+    _serve_normalize,
     _softmax,
     compute_source_stats,
     load_checkpoint,
@@ -248,6 +250,31 @@ class TestForward:
         _, adapted = mlp_model.forward(0.5 * rng.standard_normal(mlp_model.offset_dim), X)
         np.testing.assert_array_equal(adapted.stem_mean, base.stem_mean)
         np.testing.assert_array_equal(adapted.stem_var, base.stem_var)
+
+
+class TestServeNormalize:
+    """The serving layer norm against the training one, ``_normalize``, as reference.
+
+    Bounds on ``xhat``, chosen before measuring: 1e-5 absolute in float32 and
+    1e-13 in float64.
+    """
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("shape", [(1, 3), (9, 16), (64, 64), (12, 63, 256), (12, 64, 256)])
+    def test_matches_training_layer_norm(self, shape, dtype, atol):
+        rng = np.random.default_rng(5)
+        x = (2.0 * rng.standard_normal(shape) + 0.5).astype(dtype)
+        expected = x.copy()
+        _normalize(expected)
+        got = x.copy()
+        _serve_normalize(got)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+        # it works in place, so a read-only input is refused, not written
+        x.flags.writeable = False
+        before = x.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            _serve_normalize(x)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestSourceStats:

@@ -163,12 +163,16 @@ def test_forward_leaves_batch_and_offsets_untouched(kind):
 
 
 def test_wide_population_forward_peak_allocation():
-    """Each layer overwrites the arrays it creates: few ``(K, B, w)`` arrays are alive at once."""
+    """Each layer overwrites the arrays it creates: few ``(K, B, w)`` arrays are alive at once.
+
+    The bound is 2.75 float32 ``(K, B, w)`` activations; with a full-size
+    ``z * z`` temporary in every layer norm the peak is about 3.5.
+    """
     model, _ = _model(seed=11, **WIDE)
     rng = np.random.default_rng(12)
     X = rng.standard_normal((64, 32))
     offsets = 0.1 * rng.standard_normal((12, model.offset_dim))
-    activation_bytes = 12 * 64 * 256 * 8
+    activation_bytes = 12 * 64 * 256 * 4
     model.forward(offsets, X)  # warm-up, so that no one-off allocation is counted
     tracemalloc.start()
     try:
@@ -176,7 +180,20 @@ def test_wide_population_forward_peak_allocation():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * activation_bytes, peak / activation_bytes
+    assert peak <= 2.75 * activation_bytes, peak / activation_bytes
+
+
+@pytest.mark.parametrize("batch_size", [9, 63, 64, 65])
+def test_repeated_row_batch_gives_equal_rows_for_every_candidate(batch_size):
+    """Each row is normalized by its own dots, so identical rows stay bit-identical."""
+    model, _ = _model(seed=13, **WIDE)
+    rng = np.random.default_rng(14)
+    X = np.tile(rng.standard_normal(32), (batch_size, 1))
+    probs, stats = model.forward(0.3 * rng.standard_normal((12, model.offset_dim)), X)
+    assert probs.shape == (12, batch_size, model.class_count)
+    np.testing.assert_array_equal(probs, np.broadcast_to(probs[:, :1], probs.shape))
+    for sd in stats.stds:
+        np.testing.assert_allclose(sd, 0.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "residual"])
