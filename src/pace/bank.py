@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitness import FitnessConfig, fitness
-from .validation import check_array
+from .validation import check_array, check_int
 
 BANK_SCHEMA_VERSION = 1
 
@@ -52,12 +52,8 @@ class VectorBank:
     """Capacity-bounded store of length-``dim`` vectors in insertion order."""
 
     def __init__(self, dim: int, capacity: int = 30):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.dim = int(dim)
-        self.capacity = int(capacity)
+        self.dim = check_int(dim, "dim")
+        self.capacity = check_int(capacity, "capacity", minimum=0)
         self.vectors: list[np.ndarray] = []
 
     @property

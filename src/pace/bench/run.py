@@ -28,6 +28,7 @@ from ..model import (
     pretrain,
     save_checkpoint,
 )
+from ..validation import check_int
 from .stream import (
     DomainSpec,
     StreamConfig,
@@ -71,7 +72,11 @@ def standard_domain_sequence(batch_count: int = 100) -> tuple[DomainSpec, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat configuration for one benchmark run (mirrors the key=value file format)."""
+    """Flat configuration for one benchmark run (mirrors the key=value file format).
+
+    Checked whole at construction, through the types it builds: architecture,
+    stream and, for adapting methods, controller config.
+    """
 
     method: str = "pace"
     seed: int = 0
@@ -109,14 +114,15 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.arch not in ("mlp", "residual"):
-            raise ValueError(f"unknown arch {self.arch!r}")
-        if self.calibration_warmup < 1:  # the detector EMA needs one batch to exist
-            raise ValueError(f"calibration_warmup must be >= 1, got {self.calibration_warmup}")
-        if self.train_epochs < 0:
-            raise ValueError(f"train_epochs must be >= 0, got {self.train_epochs}")
-        if not self.blob_std >= 0:  # the not-form also rejects nan
-            raise ValueError(f"blob_std must be >= 0, got {self.blob_std}")
+        check_int(self.train_epochs, "train_epochs", minimum=0)
+        for name in ("train_samples", "source_samples", "calibration_batches"):
+            check_int(getattr(self, name), name)
+        check_int(self.calibration_warmup, "calibration_warmup")  # the detector EMA needs a batch
+        self.architecture()
+        self.stream_config()
+        controller_config_for_method(self, np.inf if self.gamma is None else self.gamma)
+        if self.gamma is None and self.calibration_batches <= self.calibration_warmup:
+            raise ValueError("calibration_batches must exceed calibration_warmup")
 
     def stream_config(self) -> StreamConfig:
         seq = (
@@ -282,8 +288,6 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
             ema = update_ema(ema, batch_stats, config.beta)
         else:
             scores.append(shift_score(ema, batch_stats))
-    if not scores:
-        raise ValueError("not enough calibration batches after warmup")
     return calibrate_gamma(scores)
 
 

@@ -13,6 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..validation import check_int, check_positive
+
 CORRUPTION_KINDS = ("gauss_noise", "feature_scale", "rotation", "mask")
 
 # spawn-key tags for the independent random streams
@@ -37,10 +39,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind: {self.kind!r}")
-        if not self.severity > 0:
-            raise ValueError(f"severity must be > 0, got {self.severity}")
-        if self.batch_count < 1:
-            raise ValueError(f"batch_count must be >= 1, got {self.batch_count}")
+        check_positive(self.severity, "severity")
+        check_int(self.batch_count, "batch_count")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ class StreamConfig:
             raise ValueError(f"unknown base task: {self.base_task!r}")
         if not self.domain_sequence:
             raise ValueError("domain_sequence is empty")
-        if self.batch_size < 1 or self.rounds < 1:
-            raise ValueError("batch_size and rounds must be >= 1")
+        check_int(self.batch_size, "batch_size")
+        check_int(self.rounds, "rounds")
+        if not self.blob_std >= 0:  # the not-form also rejects nan
+            raise ValueError(f"blob_std must be >= 0, got {self.blob_std}")
 
     @property
     def total_batches(self) -> int:

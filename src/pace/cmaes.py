@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import check_array, check_positive, check_positive_int
+from .validation import check_array, check_int, check_positive
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,9 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
     ``m0`` defaults to the zero vector; passing an archived mean warm-starts
     the search exactly there.
     """
-    d = check_positive_int(d, "d")
+    d = check_int(d, "d")
     check_positive(tau0, "tau0")
-    if population_size < 2:
-        raise ValueError(f"population_size must be >= 2, got {population_size}")
+    population_size = check_int(population_size, "population_size", minimum=2)
     mean = np.zeros(d) if m0 is None else check_array(m0, "m0", ndim=1, length=d).copy()
     return CmaesState(
         mean=mean,
@@ -128,7 +127,7 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
         path_sigma=np.zeros(d),
         path_c=np.zeros(d),
         iteration=0,
-        population_size=int(population_size),
+        population_size=population_size,
         hyper=Hyperparameters.defaults(d, population_size),
         # the identity's factors, exactly what eigh returns for it
         eig_sqrt=np.ones(d),

@@ -22,11 +22,13 @@ from .bank import VectorBank
 from .fitness import FitnessConfig, fitness
 from .model import AdaptableModel, SourceStats
 from .projection import FastfoodProjector
-from .validation import check_array, check_batch
+from .validation import check_array, check_batch, check_int, check_positive
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
 VARIANCE_FLOOR = 1e-8  # shift_score's lower bound on a feature variance
+GAMMA_PERCENTILE = 99.5  # calibrate_gamma's percentile of the stationary scores
+GAMMA_HEADROOM = 2.5  # and the factor it is multiplied by
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,17 @@ class ControllerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int(self.dim, "dim")
+        check_int(self.population_size, "population_size", minimum=2)
+        check_int(self.bank_capacity, "bank_capacity", minimum=0)
+        check_positive(self.tau0, "tau0")
+        FitnessConfig(self.lambda_weight)
         if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        if not self.gamma > 0:  # also rejects NaN
+        if not self.gamma > 0:  # also rejects NaN; inf never detects a shift
             raise ValueError("gamma must be positive")
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be positive")
 
 
 @dataclass
@@ -105,19 +110,19 @@ def shift_score(a: EmaStats, b: EmaStats) -> float:
     return float(np.add.reduce(per_feature, axis=None) / per_feature.size)
 
 
-def calibrate_gamma(scores, percentile: float = 99.5, headroom: float = 2.5) -> float:
+def calibrate_gamma(scores) -> float:
     """Shift threshold from held-out in-distribution score samples.
 
-    Takes the requested percentile of the stationary score distribution and
-    multiplies by ``headroom`` to keep the false-positive rate below the
-    percentile's nominal miss rate.
+    Takes the ``GAMMA_PERCENTILE`` percentile of the stationary score
+    distribution and multiplies by ``GAMMA_HEADROOM`` to keep the
+    false-positive rate below the percentile's nominal miss rate.
     """
     scores = check_array(scores, "scores", ndim=1)
     if scores.shape[0] == 0:
         raise ValueError("need at least one calibration score")
     if np.any(scores < 0):
         raise ValueError("shift scores must be non-negative")
-    return float(np.percentile(scores, percentile) * headroom)
+    return float(np.percentile(scores, GAMMA_PERCENTILE) * GAMMA_HEADROOM)
 
 
 @dataclass

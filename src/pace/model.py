@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .validation import check_array, check_batch, check_positive_int
+from .validation import check_array, check_batch, check_int
 
 CHECKPOINT_SCHEMA_VERSION = 1
 _LN_EPS = 1e-5
@@ -87,12 +87,11 @@ class ArchitectureConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "residual"):
             raise ValueError(f"unknown architecture kind: {self.kind!r}")
-        check_positive_int(self.in_dim, "in_dim")
-        check_positive_int(self.width, "width")
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
-        if self.kind == "residual" and self.blocks < 2:
-            raise ValueError("residual architecture needs at least 2 blocks")
+        check_int(self.in_dim, "in_dim")
+        check_int(self.width, "width")
+        check_int(self.class_count, "class_count", minimum=2)
+        if self.kind == "residual":
+            check_int(self.blocks, "blocks", minimum=2)
 
     def layers(self) -> list[Layer]:
         """The layers in order, each of output width ``width``; the head follows.

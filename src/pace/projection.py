@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validation import check_array, check_positive_int, is_power_of_two, next_power_of_two
+from .validation import check_array, check_int, is_power_of_two, next_power_of_two
 
 # component tags for the per-block random streams
 _TAG_SIGNS = 0
@@ -103,8 +103,8 @@ class FastfoodProjector:
     """
 
     def __init__(self, d: int, D: int, seed: int = 0):
-        self.d = check_positive_int(d, "d")
-        self.D = check_positive_int(D, "D")
+        self.d = check_int(d, "d")
+        self.D = check_int(D, "D")
         self.seed = int(seed)
         self.d_padded = next_power_of_two(self.d)
         n_blocks = -(-self.D // self.d_padded)  # ceil

@@ -37,19 +37,22 @@ def check_batch(x, name: str = "batch", *, width: int | None = None) -> np.ndarr
 
 
 def check_positive(value: float, name: str) -> float:
+    """A real setting: finite and > 0 (inf and nan are not)."""
     value = float(value)
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
     return value
 
 
-def check_positive_int(value: int, name: str) -> int:
+def check_int(value, name: str, minimum: int = 1) -> int:
+    """A count setting: an integral value >= ``minimum`` (2.5, inf and nan are not)."""
     try:
         integral = int(value) == value
     except (OverflowError, ValueError):  # inf, nan
         integral = False
-    if not integral or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+    if not integral or value < minimum:
+        rule = "a positive integer" if minimum == 1 else f">= {minimum} and an integer"
+        raise ValueError(f"{name} must be {rule}, got {value}")
     return int(value)
 
 
@@ -58,7 +61,5 @@ def is_power_of_two(n: int) -> bool:
 
 
 def next_power_of_two(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    return 1 << (n - 1).bit_length() if n > 1 else 1
+    return 1 << (check_int(n, "n") - 1).bit_length()
 

@@ -99,6 +99,33 @@ class TestRunCommand:
         assert f"{line.split()[0]} must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            pytest.param(["--population", "1"], TINY_CONFIG, id="population"),
+            pytest.param(["--dim", "0"], TINY_CONFIG, id="dim"),
+            pytest.param(["--epsilon", "-1"], TINY_CONFIG, id="epsilon"),
+            pytest.param(
+                [],
+                TINY_CONFIG.replace("calibration_batches = 40", "calibration_batches = 20")
+                .replace("calibration_warmup = 10", "calibration_warmup = 20"),
+                id="calibration_batches",
+            ),
+        ],
+    )
+    def test_bad_controller_setting_fails_before_set_up(
+        self, tmp_path, capsys, monkeypatch, args, text
+    ):
+        def pretrain(*_, **__):
+            raise AssertionError("set-up ran before the config was checked")
+
+        monkeypatch.setattr("pace.bench.run.pretrain", pretrain)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), *args])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCalibrateGamma:
     def test_prints_machine_readable_gamma(self, config_file, capsys):

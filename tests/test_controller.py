@@ -11,6 +11,8 @@ from pace.bench.stream import DomainSpec, StreamConfig, generate_stream
 from pace.controller import (
     ADAPTING,
     FROZEN,
+    GAMMA_HEADROOM,
+    GAMMA_PERCENTILE,
     ControllerConfig,
     EmaStats,
     PaceController,
@@ -101,8 +103,8 @@ class TestShiftScore:
 class TestCalibrateGamma:
     def test_percentile_and_headroom(self):
         scores = np.linspace(0.0, 1.0, 1001)
-        assert calibrate_gamma(scores, percentile=99.5, headroom=2.0) == pytest.approx(
-            2.0 * 0.995, abs=1e-9
+        assert calibrate_gamma(scores) == pytest.approx(
+            GAMMA_HEADROOM * GAMMA_PERCENTILE / 100, abs=1e-9
         )
 
     def test_validation(self):
@@ -494,6 +496,14 @@ class TestProcessBatch:
             ControllerConfig(gamma=np.nan)
         with pytest.raises(ValueError):
             ControllerConfig(tau0=np.nan)
+        with pytest.raises(ValueError):
+            ControllerConfig(tau0=np.inf)
+        with pytest.raises(ValueError):
+            ControllerConfig(dim=0)
+        with pytest.raises(ValueError):
+            ControllerConfig(population_size=2.5)
+        with pytest.raises(ValueError):
+            ControllerConfig(bank_capacity=-1)
 
 
 class TestBaseWeightImmutability:

@@ -39,6 +39,8 @@ class TestValidation:
     def test_bad_severity_and_counts(self):
         with pytest.raises(ValueError, match="severity"):
             DomainSpec("gauss_noise", 0.0, 10)
+        with pytest.raises(ValueError, match="severity"):
+            DomainSpec("feature_scale", np.inf, 10)
         with pytest.raises(ValueError, match="batch_count"):
             DomainSpec("gauss_noise", 1.0, 0)
 
