@@ -342,7 +342,7 @@ def run_prepared(
     for batch in generate_stream(stream_cfg):
         features = batch.features  # labels and domain id stay on the metrics side
         if controller is None:
-            probs = model.forward(zero, features)[0]
+            probs = model.serve(zero, features)[0]
             report = BatchReport(batch.index, FROZEN, np.nan, np.nan, np.nan, False, 1)
         else:
             probs, report = controller.process_batch(features)

@@ -61,10 +61,15 @@ class StreamConfig:
             raise ValueError(f"unknown base task: {self.base_task!r}")
         if not self.domain_sequence:
             raise ValueError("domain_sequence is empty")
+        check_int(self.in_dim, "in_dim")
+        check_int(self.class_count, "class_count", minimum=2)
         check_int(self.batch_size, "batch_size")
         check_int(self.rounds, "rounds")
-        if not self.blob_std >= 0:  # the not-form also rejects nan
-            raise ValueError(f"blob_std must be >= 0, got {self.blob_std}")
+        for name in ("blob_radius", "blob_std"):
+            if not 0 <= getattr(self, name) < np.inf:  # the not-form also rejects nan
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not np.isfinite(self.blob_center):
+            raise ValueError(f"blob_center must be finite, got {self.blob_center}")
 
     @property
     def total_batches(self) -> int:

@@ -5,7 +5,8 @@ candidate offsets sampled around the current search mean, all projected,
 evaluated and scored in one population pass; the distribution is then updated
 from the candidates' fitness ranking.  Adaptation freezes once
 the relative change of the mean falls below ``epsilon``; a FROZEN batch costs
-a single forward pass with the stored offset.  A frozen exponential moving
+one ``model.serve`` with the stored offset plus the shift detector, and is not
+scored, so its report's ``fitness_best`` is nan.  A frozen exponential moving
 average of stem-layer statistics is compared against each incoming batch via
 a symmetric KL score; when the score exceeds ``gamma`` the current mean is
 archived to the vector bank, a warm start is retrieved by fitness, and
@@ -42,6 +43,8 @@ class ControllerConfig:
     stops adapting.  The detector still scores every adapting batch (the
     report's ``shift_score``) and blends its statistics into the EMA, but a
     shift is acted on, and the bank used, only with ``shift_while_adapting``.
+    A frozen batch is one ``serve`` and the detector: no fitness, no block
+    moments.
     """
 
     dim: int = 32
@@ -228,7 +231,7 @@ class PaceController:
 
     # -- internals -----------------------------------------------------------
 
-    def _detect(self, stats) -> tuple[EmaStats | None, float, bool]:
+    def _detect(self, stem_mean, stem_var) -> tuple[EmaStats | None, float, bool]:
         """Batch stem statistics to blend into the EMA, shift score and shift decision.
 
         The score is nan, and no shift is seen, before any EMA exists and for
@@ -236,7 +239,7 @@ class PaceController:
         score against the EMA is not finite, come back as None: blended in,
         they would poison the EMA for good.
         """
-        batch_stats = EmaStats(stats.stem_mean, stats.stem_var)
+        batch_stats = EmaStats(stem_mean, stem_var)
         if not (np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()):
             return None, np.nan, False
         if self.ema is None:
@@ -278,13 +281,13 @@ class PaceController:
         forward_passes = cfg.population_size
         if not np.isfinite(scores).any():
             # degenerate batch: serve the unadapted model, keep all state
-            probs, _ = self.model.forward(self.model.zero_offset(), batch)
+            probs, _ = self.model.serve(self.model.zero_offset(), batch)
             self.telemetry.rescue_forwards += 1
             return probs, np.nan, np.nan, np.nan, False, forward_passes + 1
 
         best = int(np.argmin(scores))
         predictions = probs[best].copy()  # a view would keep all K candidates alive
-        batch_stats, score, shift = self._detect(stats)
+        batch_stats, score, shift = self._detect(stats.stem_mean, stats.stem_var)
         shift = shift and cfg.shift_while_adapting
         rel_change = np.nan
         if shift:
@@ -304,11 +307,10 @@ class PaceController:
         return predictions, scores[best], rel_change, score, shift, forward_passes
 
     def _process_frozen(self, batch):
-        probs, stats = self.model.forward(self.frozen_offset, batch)
+        probs, stem = self.model.serve(self.frozen_offset, batch)
         forward_passes = 1
-        best_fitness = fitness(probs, stats, self.source_stats, self.fitness_config)
-        batch_stats, score, shift = self._detect(stats)
+        batch_stats, score, shift = self._detect(*stem)
         if shift:
             forward_passes += self._shift(batch, batch_stats)
         self.telemetry.frozen_batches += 1
-        return probs, best_fitness, np.nan, score, shift, forward_passes
+        return probs, np.nan, np.nan, score, shift, forward_passes

@@ -12,7 +12,11 @@ or fixed.  ``ArchitectureConfig.layers`` spells out the two architectures:
 Inference, training, weight initialization and the shape checks all walk
 that one list.  The layers with a ReLU are the blocks whose output statistics
 enter the fitness; the first layer's pre-normalization output is the stem tap
-used for shift detection, which no offset can reach.
+used for shift detection, which no offset can reach.  Two calls serve a
+batch: ``forward`` takes one offset or a population and also returns the
+block moments the fitness reads; ``serve`` takes one offset and returns only
+the probabilities and the stem moments, for a batch that is served but not
+scored (a frozen batch, the rescue of a degenerate one, no adaptation).
 
 Base weights are frozen after training.  Test-time adaptation never touches
 them: every forward call takes an offset vector (or a population of them, one
@@ -241,7 +245,7 @@ class AdaptableModel:
 
     # -- inference ---------------------------------------------------------
 
-    def _activations(self, offsets: np.ndarray, X: np.ndarray):
+    def _activations(self, offsets: np.ndarray, X: np.ndarray, *, block_moments: bool = True):
         """Logits, and (mean, variance) over the batch of each block and the stem tap.
 
         ``offsets`` is one offset ``(offset_dim,)`` or a population
@@ -254,9 +258,9 @@ class AdaptableModel:
         result the rest of the layer overwrites.  The head is one ``(B, w)``
         GEMM per candidate, so row k of the logits is bit-identical to a
         one-offset call; one flat ``(K*B, w) @ (w, C)`` GEMM is not at every
-        shape.  Only the moments of a block output are kept, not the output
-        itself.  The first layer's normalized output is cast to float32, and
-        the logits are float32.
+        shape.  Only a block output's moments are kept, and only with
+        ``block_moments``.  The first layer's normalized output is cast to
+        float32, and the logits are float32.
         """
         w = self.weights
         width = self.config.width
@@ -288,7 +292,7 @@ class AdaptableModel:
             if layer.skip:
                 z += h  # IEEE addition commutes, so bitwise equal to h + z
             h = z
-            if layer.relu:
+            if layer.relu and block_moments:
                 blocks.append(_moments(h))
         logits = np.matmul(h, w["head.w"])
         logits += w["head.b"]
@@ -319,6 +323,19 @@ class AdaptableModel:
             stds = [np.sqrt(var) for _, var in blocks]
         return probs, ActivationStats(means, stds, stem_mean, stem_var)
 
+    def serve(self, offset, batch) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Probabilities ``(B, C)`` under one offset, and the stem tap's (mean, variance).
+
+        For a batch that is served but not scored: ``forward`` for a 1-D offset
+        without the block moments, which only the fitness reads.  Both outputs
+        are bit-identical to ``forward``'s.
+        """
+        X = check_batch(batch, "batch", width=self.config.in_dim)
+        offset = check_array(offset, "offset", ndim=1, length=self.offset_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _, stem = self._activations(offset, X, block_moments=False)
+            return _softmax(logits.astype(np.float64)), stem
+
     def stem_moments(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Batch mean and variance of the stem tap, the first layer's pre-normalization output.
 
@@ -333,12 +350,6 @@ class AdaptableModel:
 
     def zero_offset(self) -> np.ndarray:
         return np.zeros(self.offset_dim)
-
-    def predict_proba(self, X) -> np.ndarray:
-        return self.forward(self.zero_offset(), X)[0]
-
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
 
 
 # -- training (pre-deployment only) -----------------------------------------

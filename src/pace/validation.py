@@ -1,6 +1,8 @@
 """Input validation helpers shared across the package."""
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -45,12 +47,8 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_int(value, name: str, minimum: int = 1) -> int:
-    """A count setting: an integral value >= ``minimum`` (2.5, inf and nan are not)."""
-    try:
-        integral = int(value) == value
-    except (OverflowError, ValueError):  # inf, nan
-        integral = False
-    if not integral or value < minimum:
+    """A count setting: an integer >= ``minimum`` (4.0, 2.5, inf and nan are not)."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
         rule = "a positive integer" if minimum == 1 else f">= {minimum} and an integer"
         raise ValueError(f"{name} must be {rule}, got {value}")
     return int(value)

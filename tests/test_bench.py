@@ -97,8 +97,9 @@ class TestRun:
         )
         report = run_prepared(identity, model, stats, gamma)
         clean_batches = make_source_batches(identity.stream_config(), 6400, 64, tag=4)
+        zero = model.zero_offset()
         clean_acc = 100 * np.mean(
-            [np.mean(model.predict(X) == y) for X, y in clean_batches]
+            [np.mean(np.argmax(model.serve(zero, X)[0], axis=1) == y) for X, y in clean_batches]
         )
         assert abs(report.overall_accuracy - clean_acc) <= 1.5
         assert report.adapted_fraction == 0.0

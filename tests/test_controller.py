@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pace.controller as ctrl
+import pace.model
 from pace.bench.run import controller_config_for_method
 from pace.bench.stream import DomainSpec, StreamConfig, generate_stream
 from pace.controller import (
@@ -169,6 +170,37 @@ class TestProcessBatch:
         assert transitions == 1
         assert FROZEN in modes
         assert controller.telemetry.identity_holds(config.population_size)
+
+    def test_frozen_batch_is_one_serve_and_the_detector(self, adapted_setup, monkeypatch):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 120)], seed=3)
+        batches = (batch.features for batch in generate_stream(stream_cfg))
+        while controller.mode != FROZEN:
+            controller.process_batch(next(batches))
+        batch = next(batches)
+        expected = model.forward(controller.frozen_offset, batch)[0]
+        calls = {"fitness": 0, "_moments": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ctrl, "fitness")
+        counted(pace.model, "_moments")
+        probs, report = controller.process_batch(batch)
+        # no fitness, and of the moments only the stem tap's, which the detector reads
+        assert calls == {"fitness": 0, "_moments": 1}
+        np.testing.assert_array_equal(probs, expected)
+        assert report.mode == FROZEN and not report.shift_detected
+        assert report.forward_passes == 1
+        assert np.isnan(report.fitness_best)
+        assert np.isfinite(report.shift_score)
 
     def test_adapting_batch_costs_population_forwards(self, adapted_setup):
         model, stats, config = adapted_setup

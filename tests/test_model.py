@@ -100,6 +100,11 @@ def _reference_train(config: ArchitectureConfig, w: dict, X, onehot):
     return logits, grads
 
 
+def _predict(model, X):
+    """Class predictions of the unadapted model."""
+    return np.argmax(model.serve(model.zero_offset(), X)[0], axis=1)
+
+
 def two_blob_data(n=600, seed=0):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, n)
@@ -152,12 +157,33 @@ class TestLayout:
             assert arr.dtype == expected, key
 
 
+class TestServe:
+    @pytest.mark.parametrize("fixture", ["mlp_model", "residual_model"])
+    @pytest.mark.parametrize("scale", [0.0, 0.3], ids=["zero-offset", "offset"])
+    def test_bit_identical_to_forward(self, fixture, scale, request):
+        model = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((64, 3))
+        offset = scale * rng.standard_normal(model.offset_dim)
+        probs, stats = model.forward(offset, X)
+        served, (stem_mean, stem_var) = model.serve(offset, X)
+        np.testing.assert_array_equal(served, probs)
+        np.testing.assert_array_equal(stem_mean, stats.stem_mean)
+        np.testing.assert_array_equal(stem_var, stats.stem_var)
+
+    def test_population_of_offsets_rejected(self, mlp_model):
+        X = np.random.default_rng(8).standard_normal((4, 3))
+        offsets = np.zeros((2, mlp_model.offset_dim))
+        with pytest.raises(ValueError, match="offset must be 1-dimensional"):
+            mlp_model.serve(offsets, X)
+
+
 class TestForward:
     def test_zero_offset_matches_unadapted_model_bit_exact(self, residual_model):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((16, 3))
         probs_a, _ = residual_model.forward(residual_model.zero_offset(), X)
-        probs_b = residual_model.predict_proba(X)
+        probs_b = residual_model.serve(residual_model.zero_offset(), X)[0]
         np.testing.assert_array_equal(probs_a, probs_b)
 
     def test_deterministic(self, residual_model):
@@ -322,7 +348,7 @@ class TestPretrain:
         assert np.mean(oracle == y) >= 0.99
         cfg = ArchitectureConfig(kind="mlp", in_dim=2, class_count=2, width=16)
         model = pretrain(cfg, X, y, seed=0, epochs=30)
-        assert np.mean(model.predict(X) == y) >= 0.99
+        assert np.mean(_predict(model, X) == y) >= 0.99
 
     def test_fixed_seed_reproduces_weights(self):
         X, y = two_blob_data(n=256)
@@ -339,13 +365,13 @@ class TestPretrain:
         batches = make_source_batches(config.stream_config(), 2048, 256, tag=1)
         X = np.concatenate([b[0] for b in batches])
         y = np.concatenate([b[1] for b in batches])
-        assert np.mean(model.predict(X) == y) >= 0.90
+        assert np.mean(_predict(model, X) == y) >= 0.90
 
     def test_residual_pretrains(self):
         X, y = two_blob_data(n=512)
         cfg = ArchitectureConfig(kind="residual", in_dim=2, class_count=2, width=16, blocks=4)
         model = pretrain(cfg, X, y, seed=0, epochs=20)
-        assert np.mean(model.predict(X) == y) >= 0.95
+        assert np.mean(_predict(model, X) == y) >= 0.95
 
     def test_label_validation(self):
         X, y = two_blob_data(n=64)
@@ -425,8 +451,8 @@ class TestCheckpoint:
         for a, b in zip(stats.means, loaded_stats.means):
             np.testing.assert_array_equal(a, b)
         assert loaded_stats.sample_count == 64
-        probs_a = mlp_model.predict_proba(X)
-        probs_b = loaded.predict_proba(X)
+        probs_a = mlp_model.serve(mlp_model.zero_offset(), X)[0]
+        probs_b = loaded.serve(loaded.zero_offset(), X)[0]
         np.testing.assert_array_equal(probs_a, probs_b)
 
     def test_loads_checkpoint_with_stem_statistics(self, tmp_path, mlp_model):

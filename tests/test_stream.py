@@ -43,6 +43,17 @@ class TestValidation:
             DomainSpec("feature_scale", np.inf, 10)
         with pytest.raises(ValueError, match="batch_count"):
             DomainSpec("gauss_noise", 1.0, 0)
+        spec = [DomainSpec("gauss_noise", 1.0, 1)]
+        for name, value in [
+            ("blob_radius", np.inf),
+            ("blob_radius", np.nan),
+            ("blob_radius", -1.0),
+            ("blob_center", np.inf),
+            ("blob_center", -np.inf),
+            ("blob_center", np.nan),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                config(spec, **{name: value})
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):

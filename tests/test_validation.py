@@ -62,6 +62,8 @@ COUNTS = {
     "VectorBank.dim": ("dim", 1, lambda value, _: VectorBank(value)),
     "VectorBank.capacity": ("capacity", 0, lambda value, _: VectorBank(4, capacity=value)),
     "DomainSpec.batch_count": ("batch_count", 1, lambda value, _: DomainSpec("mask", 0.5, value)),
+    "StreamConfig.in_dim": ("in_dim", 1, lambda value, _: _stream(in_dim=value)),
+    "StreamConfig.class_count": ("class_count", 2, lambda value, _: _stream(class_count=value)),
     "StreamConfig.batch_size": ("batch_size", 1, lambda value, _: _stream(batch_size=value)),
     "StreamConfig.rounds": ("rounds", 1, lambda value, _: _stream(rounds=value)),
     "RunConfig.train_epochs": ("train_epochs", 0, lambda value, _: RunConfig(train_epochs=value)),
@@ -98,8 +100,8 @@ def test_non_finite_is_not_a_positive_integer(value, caller, tmp_path):
 @pytest.mark.parametrize("site", COUNTS)
 @pytest.mark.parametrize(
     "value",
-    [2.5, np.inf, -np.inf, np.nan, None],
-    ids=["2.5", "inf", "-inf", "nan", "below-minimum"],
+    [4.0, 2.5, np.inf, -np.inf, np.nan, None],
+    ids=["4.0", "2.5", "inf", "-inf", "nan", "below-minimum"],
 )
 def test_count_rejection_names_the_setting(value, site, tmp_path):
     setting, minimum, call = COUNTS[site]
