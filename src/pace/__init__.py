@@ -32,9 +32,7 @@ from .model import (
     Layer,
     SourceStats,
     compute_source_stats,
-    load_checkpoint,
     pretrain,
-    save_checkpoint,
 )
 from .projection import FastfoodProjector, fwht
 
@@ -66,9 +64,7 @@ __all__ = [
     "Layer",
     "SourceStats",
     "compute_source_stats",
-    "load_checkpoint",
     "pretrain",
-    "save_checkpoint",
     "FastfoodProjector",
     "fwht",
     "__version__",

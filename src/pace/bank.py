@@ -9,15 +9,12 @@ forward pass and returns the argmin as the warm-start mean.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitness import FitnessConfig, fitness
 from .validation import check_array, check_int
-
-BANK_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -91,37 +88,3 @@ class VectorBank:
         scores = fitness(probs, stats, source_stats, fitness_config)
         best = int(np.argmin(scores))
         return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist())
-
-    # -- persistence ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": BANK_SCHEMA_VERSION,
-                "d": self.dim,
-                "capacity": self.capacity,
-                "vectors": [v.tolist() for v in self.vectors],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VectorBank":
-        record = json.loads(text)
-        if record.get("schema_version") != BANK_SCHEMA_VERSION:
-            raise ValueError(f"unsupported bank schema: {record.get('schema_version')}")
-        bank = cls(dim=record["d"], capacity=record["capacity"])
-        for row in record["vectors"]:
-            vec = check_array(row, "bank vector", ndim=1, length=bank.dim)
-            bank.vectors.append(vec.copy())
-        if bank.count > bank.capacity:
-            raise ValueError("bank file holds more vectors than its capacity")
-        return bank
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "VectorBank":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())

@@ -1,4 +1,4 @@
-"""Experiment driver: pretraining, calibration, method runners, metrics, persistence."""
+"""Experiment driver: pretraining, calibration, method runners, metrics, run outputs."""
 from __future__ import annotations
 
 import csv
@@ -26,7 +26,6 @@ from ..model import (
     SourceStats,
     compute_source_stats,
     pretrain,
-    save_checkpoint,
 )
 from ..validation import check_int
 from .stream import (
@@ -167,7 +166,10 @@ class RunConfig:
             key = key.replace("-", "_")
             if key not in valid:
                 raise ValueError(f"unknown config key: {key}")
-            kwargs[key] = _coerce(raw, valid[key])
+            try:
+                kwargs[key] = _coerce(raw, valid[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -407,11 +409,12 @@ def run_prepared(
         batches=rows,
     )
     if config.out_dir:
-        _write_outputs(config, report, model, source_stats, controller)
+        _write_outputs(config, report)
     return report
 
 
-def _write_outputs(config, report, model, source_stats, controller):
+def _write_outputs(config, report):
+    """Write ``batches.csv`` and ``summary.json``; the summary's ``config`` rebuilds the assets."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "batches.csv", "w", newline="", encoding="utf-8") as fh:
@@ -424,9 +427,6 @@ def _write_outputs(config, report, model, source_stats, controller):
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    save_checkpoint(out / "model.ckpt", model, source_stats)
-    if controller is not None and controller.bank.count > 0:
-        controller.bank.save(out / "bank.json")
 
 
 def compare(report_a: RunReport, report_b: RunReport) -> dict:

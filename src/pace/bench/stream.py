@@ -65,6 +65,7 @@ class StreamConfig:
         check_int(self.class_count, "class_count", minimum=2)
         check_int(self.batch_size, "batch_size")
         check_int(self.rounds, "rounds")
+        check_int(self.seed, "seed", minimum=0)
         for name in ("blob_radius", "blob_std"):
             if not 0 <= getattr(self, name) < np.inf:  # the not-form also rejects nan
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

@@ -62,6 +62,7 @@ class ControllerConfig:
         check_int(self.dim, "dim")
         check_int(self.population_size, "population_size", minimum=2)
         check_int(self.bank_capacity, "bank_capacity", minimum=0)
+        check_int(self.seed, "seed", minimum=0)
         check_positive(self.tau0, "tau0")
         FitnessConfig(self.lambda_weight)
         if not self.epsilon >= 0:  # also rejects NaN

@@ -52,14 +52,12 @@ computes gradients.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .validation import check_array, check_batch, check_int
 
-CHECKPOINT_SCHEMA_VERSION = 1
 _LN_EPS = 1e-5
 _TRAIN_BATCH = 128  # pretraining minibatch size
 _TRAIN_LEARNING_RATE = 3e-3  # Adam step size
@@ -134,7 +132,6 @@ class SourceStats:
 
     means: list[np.ndarray]
     stds: list[np.ndarray]
-    sample_count: int = 0
 
 
 def _moments(x):
@@ -509,46 +506,5 @@ def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
     return SourceStats(
         means=[m.mean.copy() for m in block_moments],
         stds=[m.std() for m in block_moments],
-        sample_count=seen,
     )
 
-
-# -- persistence -------------------------------------------------------------
-
-
-def save_checkpoint(path, model: AdaptableModel, source_stats: SourceStats | None = None):
-    payload = {
-        "schema_version": np.array([CHECKPOINT_SCHEMA_VERSION]),
-        "config_json": np.array(json.dumps(asdict(model.config))),
-    }
-    for key, arr in model.weights.items():
-        payload[f"weight.{key}"] = arr
-    if source_stats is not None:
-        payload["stats.count"] = np.array([source_stats.sample_count])
-        for i, (mu, sd) in enumerate(zip(source_stats.means, source_stats.stds)):
-            payload[f"stats.mean.{i}"] = mu
-            payload[f"stats.std.{i}"] = sd
-    with open(path, "wb") as fh:  # file handle keeps the exact filename
-        np.savez(fh, **payload)
-
-
-def load_checkpoint(path) -> tuple[AdaptableModel, SourceStats | None]:
-    with np.load(path) as data:
-        version = int(data["schema_version"][0])
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported checkpoint schema: {version}")
-        config = ArchitectureConfig(**json.loads(str(data["config_json"])))
-        weights = {
-            key[len("weight.") :]: data[key] for key in data.files if key.startswith("weight.")
-        }
-        model = AdaptableModel(config, weights)
-        stats = None
-        if "stats.count" in data.files:
-            means, stds = [], []
-            i = 0
-            while f"stats.mean.{i}" in data.files:
-                means.append(data[f"stats.mean.{i}"])
-                stds.append(data[f"stats.std.{i}"])
-                i += 1
-            stats = SourceStats(means, stds, sample_count=int(data["stats.count"][0]))
-        return model, stats

@@ -191,31 +191,3 @@ class TestRetrieveInit:
         assert result.forward_passes == 2
         assert result.fitnesses == [np.inf, np.inf]
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        bank = VectorBank(5, capacity=4)
-        for _ in range(4):
-            bank.archive(rng.standard_normal(5))
-        path = tmp_path / "bank.json"
-        bank.save(path)
-        loaded = VectorBank.load(path)
-        assert loaded.dim == 5 and loaded.capacity == 4
-        assert loaded.count == bank.count
-        for a, b in zip(bank.vectors, loaded.vectors):
-            np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_load_validates_lengths(self, tmp_path):
-        path = tmp_path / "bank.json"
-        path.write_text(
-            '{"schema_version": 1, "d": 3, "capacity": 2, "vectors": [[1.0, 2.0]]}'
-        )
-        with pytest.raises(ValueError, match="length 3"):
-            VectorBank.load(path)
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bank.json"
-        path.write_text('{"schema_version": 9, "d": 3, "capacity": 2, "vectors": []}')
-        with pytest.raises(ValueError, match="schema"):
-            VectorBank.load(path)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from pace.bench.run import RunConfig, prepare_assets
+from pace.bench.run import RunConfig, prepare_assets, run_prepared
 from pace.cli import main
 
 TINY_CONFIG = """
@@ -41,6 +43,34 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert "accuracy=" in stdout
 
+    def test_summary_config_rebuilds_the_run(self, tmp_path, config_file):
+        # what pace run does, then the rebuild the README shows; the recurring
+        # domain and the looser stop make the run retrieve from a non-empty bank
+        config = replace(
+            RunConfig.from_file(config_file),
+            domain_sequence="feature_scale:2.2:20,feature_scale:0.45:20,feature_scale:2.2:20",
+            epsilon=0.2,
+            out_dir=str(tmp_path / "run"),
+        )
+        model, stats, gamma = prepare_assets(config)
+        report = run_prepared(config, model, stats, gamma)
+        assert report.telemetry["retrieval_forwards"] > report.telemetry["shifts_detected"] > 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        rebuilt_config = RunConfig.from_mapping(summary["config"])
+        assert rebuilt_config == config
+        rebuilt, rebuilt_stats, rebuilt_gamma = prepare_assets(rebuilt_config)
+        assert set(rebuilt.weights) == set(model.weights)
+        for key, arr in model.weights.items():
+            assert rebuilt.weights[key].dtype == arr.dtype, key
+            np.testing.assert_array_equal(rebuilt.weights[key], arr)
+        for a, b in zip(stats.means + stats.stds, rebuilt_stats.means + rebuilt_stats.stds):
+            np.testing.assert_array_equal(a, b)
+        assert rebuilt_gamma == gamma == summary["gamma"]
+        replayed = run_prepared(
+            replace(rebuilt_config, out_dir=None), rebuilt, rebuilt_stats, rebuilt_gamma
+        )
+        np.testing.assert_equal(replayed.batches, report.batches)
+
     def test_cli_overrides_config(self, tmp_path, config_file):
         out = tmp_path / "results"
         code = main(
@@ -72,6 +102,14 @@ class TestRunCommand:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["dim = abc", "epsilon = 0.1.2"])
+    def test_unparsable_value_is_config_error_naming_its_key(self, tmp_path, capsys, line):
+        path = tmp_path / "unparsable.cfg"
+        path.write_text(TINY_CONFIG + line + "\n")
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]}: ")
 
     @pytest.mark.parametrize("warmup", [0, -1])
     def test_calibration_warmup_below_one_is_config_error(self, tmp_path, capsys, warmup):

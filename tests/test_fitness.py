@@ -22,7 +22,6 @@ def make_source(means, stds):
     return SourceStats(
         means=[np.asarray(m, dtype=float) for m in means],
         stds=[np.asarray(s, dtype=float) for s in stds],
-        sample_count=100,
     )
 
 

@@ -12,6 +12,9 @@ The inputs are fixed and there are no options.  The components:
   the final telemetry, mode and CMA-ES mean;
 * ``run_prepared`` -- the per-batch rows ``run_prepared`` returns for the
   same 30 runs;
+* ``run_dir`` -- the bytes of ``batches.csv`` and ``summary.json`` that the
+  same 30 runs write, without the lines of ``wall_seconds`` and
+  ``config.out_dir``;
 * ``transform`` -- the projector at (d, D) = (32, 256), (256, 3584) and
   (2304, 34800) on fixed inputs;
 * ``cmaes`` -- 20 CMA-ES generations at d = 32, 256 and 512 on a fixed
@@ -35,7 +38,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +64,8 @@ from pace.projection import FastfoodProjector  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SEEDS = range(5)
+# summary.json lines that differ between identical runs: a timing and a path
+UNSTABLE_LINE = re.compile(rb'^ *"(wall_seconds|out_dir)": ')
 
 
 def feed(h, obj) -> None:
@@ -92,25 +99,39 @@ def serve_all(h, config, model, source_stats, gamma) -> None:
     feed(h, (controller.telemetry.as_dict(), controller.mode, controller.cmaes_state.mean))
 
 
+def feed_run_dir(h, out: Path) -> None:
+    """Hash the two files of a run directory, byte for byte but for ``UNSTABLE_LINE``."""
+    for name in ("batches.csv", "summary.json"):
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        h.update(name.encode())
+        h.update(b"".join(line for line in lines if not UNSTABLE_LINE.match(line)))
+
+
 def main() -> int:
     digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
-    for name in ("run_prepared", "transform", "cmaes", "weights", "source_stats", "gamma"):
+    for name in (
+        "run_prepared", "run_dir", "transform", "cmaes", "weights", "source_stats", "gamma"
+    ):
         digests[name] = hashlib.sha256()
 
     asset_configs = [RunConfig(seed=s) for s in SEEDS]
     asset_configs.append(WORKLOADS["wide-adapt"].configs(0, 30)[0])
-    for i, base in enumerate(asset_configs):
-        model, source_stats, gamma = prepare_assets(base)
-        feed(digests["weights"], model.weights)
-        feed(digests["source_stats"], source_stats)
-        feed(digests["gamma"], gamma)
-        if i >= len(SEEDS):
-            continue  # the wide-adapt assets only
-        for method in METHODS:
-            config = dataclasses.replace(base, method=method)
-            serve_all(digests[f"presets.{method}"], config, model, source_stats, gamma)
-            rows = run_prepared(config, model, source_stats, gamma).batches
-            feed(digests["run_prepared"], rows)
+    with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
+        out = Path(tmp)
+        for i, base in enumerate(asset_configs):
+            model, source_stats, gamma = prepare_assets(base)
+            feed(digests["weights"], model.weights)
+            feed(digests["source_stats"], source_stats)
+            feed(digests["gamma"], gamma)
+            if i >= len(SEEDS):
+                continue  # the wide-adapt assets only
+            for method in METHODS:
+                config = dataclasses.replace(base, method=method)
+                serve_all(digests[f"presets.{method}"], config, model, source_stats, gamma)
+                config = dataclasses.replace(config, out_dir=str(out))
+                rows = run_prepared(config, model, source_stats, gamma).batches
+                feed(digests["run_prepared"], rows)
+                feed_run_dir(digests["run_dir"], out)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
     for d, D in ((32, 256), (256, 3584), (2304, 34800)):
