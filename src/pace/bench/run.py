@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -113,6 +114,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        # every integer count is stored as a Python int, which JSON takes and np.int64 not
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", int) and isinstance(value, numbers.Integral):
+                object.__setattr__(self, f.name, int(value))
         check_int(self.train_epochs, "train_epochs", minimum=0)
         for name in ("train_samples", "source_samples", "calibration_batches"):
             check_int(getattr(self, name), name)
@@ -335,7 +341,7 @@ def run_prepared(
         if controller_cfg is not None
         else None
     )
-    zero = model.zero_offset() if controller is None else None
+    zero = model.bind(model.zero_offset()) if controller is None else None
 
     rows = []
     start = time.perf_counter()

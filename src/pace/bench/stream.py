@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..validation import check_int, check_positive
+from ..validation import check_positive, store_int
 
 CORRUPTION_KINDS = ("gauss_noise", "feature_scale", "rotation", "mask")
 
@@ -40,7 +40,7 @@ class DomainSpec:
         if self.kind not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind: {self.kind!r}")
         check_positive(self.severity, "severity")
-        check_int(self.batch_count, "batch_count")
+        store_int(self, "batch_count")
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ class StreamConfig:
             raise ValueError(f"unknown base task: {self.base_task!r}")
         if not self.domain_sequence:
             raise ValueError("domain_sequence is empty")
-        check_int(self.in_dim, "in_dim")
-        check_int(self.class_count, "class_count", minimum=2)
-        check_int(self.batch_size, "batch_size")
-        check_int(self.rounds, "rounds")
-        check_int(self.seed, "seed", minimum=0)
+        store_int(self, "in_dim")
+        store_int(self, "class_count", minimum=2)
+        store_int(self, "batch_size")
+        store_int(self, "rounds")
+        store_int(self, "seed", minimum=0)
         for name in ("blob_radius", "blob_std"):
             if not 0 <= getattr(self, name) < np.inf:  # the not-form also rejects nan
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

@@ -3,14 +3,15 @@
 While ADAPTING, each test batch is served by the best of ``population_size``
 candidate offsets sampled around the current search mean, all projected,
 evaluated and scored in one population pass; the distribution is then updated
-from the candidates' fitness ranking.  Adaptation freezes once
-the relative change of the mean falls below ``epsilon``; a FROZEN batch costs
-one ``model.serve`` with the stored offset plus the shift detector, and is not
-scored, so its report's ``fitness_best`` is nan.  A frozen exponential moving
-average of stem-layer statistics is compared against each incoming batch via
-a symmetric KL score; when the score exceeds ``gamma`` the current mean is
-archived to the vector bank, a warm start is retrieved by fitness, and
-adaptation resumes.
+from the candidates' fitness ranking.  Adaptation freezes once the relative
+change of the mean falls below ``epsilon``: the stop projects the mean and
+binds it into the model's per-layer affines (``model.bind``), once.  A FROZEN
+batch then costs one ``model.serve`` of those affines plus the shift
+detector, and is not scored, so its report's ``fitness_best`` is nan.  A
+frozen exponential moving average of stem-layer statistics is compared
+against each incoming batch via a symmetric KL score; when the score exceeds
+``gamma`` the current mean is archived to the vector bank, a warm start is
+retrieved by fitness, the binding is dropped and adaptation resumes.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .bank import VectorBank
 from .fitness import FitnessConfig, fitness
 from .model import AdaptableModel, SourceStats
 from .projection import FastfoodProjector
-from .validation import check_array, check_batch, check_int, check_positive
+from .validation import check_array, check_batch, check_positive, store_int
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
@@ -43,8 +44,8 @@ class ControllerConfig:
     stops adapting.  The detector still scores every adapting batch (the
     report's ``shift_score``) and blends its statistics into the EMA, but a
     shift is acted on, and the bank used, only with ``shift_while_adapting``.
-    A frozen batch is one ``serve`` and the detector: no fitness, no block
-    moments.
+    A frozen batch is one ``serve`` of the affines bound at the stop and the
+    detector: no offset check, no fitness, no block moments.
     """
 
     dim: int = 32
@@ -59,10 +60,10 @@ class ControllerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int(self.dim, "dim")
-        check_int(self.population_size, "population_size", minimum=2)
-        check_int(self.bank_capacity, "bank_capacity", minimum=0)
-        check_int(self.seed, "seed", minimum=0)
+        store_int(self, "dim")
+        store_int(self, "population_size", minimum=2)
+        store_int(self, "bank_capacity", minimum=0)
+        store_int(self, "seed", minimum=0)
         check_positive(self.tau0, "tau0")
         FitnessConfig(self.lambda_weight)
         if not self.epsilon >= 0:  # also rejects NaN
@@ -175,7 +176,7 @@ class PaceController:
 
     ``process_batch`` consumes unlabeled batches in temporal order and returns
     class probabilities; between batches all state mutation is sequential.
-    The controller is FROZEN exactly while it holds a frozen offset.
+    The controller is FROZEN exactly while it holds a frozen offset and its binding.
     """
 
     def __init__(
@@ -197,6 +198,7 @@ class PaceController:
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(7,)))
         )
         self.frozen_offset: np.ndarray | None = None
+        self._frozen_affines: tuple | None = None  # model.bind(frozen_offset)
         self.ema: EmaStats | None = None
         self.telemetry = Telemetry()
 
@@ -264,6 +266,7 @@ class PaceController:
         self.telemetry.retrieval_forwards += result.forward_passes
         self.cmaes_state = cmaes.reinitialized(self.cmaes_state, result.vector, self.config.tau0)
         self.frozen_offset = None
+        self._frozen_affines = None
         self.ema = batch_stats
         return result.forward_passes
 
@@ -282,7 +285,7 @@ class PaceController:
         forward_passes = cfg.population_size
         if not np.isfinite(scores).any():
             # degenerate batch: serve the unadapted model, keep all state
-            probs, _ = self.model.serve(self.model.zero_offset(), batch)
+            probs, _ = self.model.serve(self.model.bind(self.model.zero_offset()), batch)
             self.telemetry.rescue_forwards += 1
             return probs, np.nan, np.nan, np.nan, False, forward_passes + 1
 
@@ -304,11 +307,12 @@ class PaceController:
             # inf from the origin, so never below epsilon there; epsilon 0 never stops
             if rel_change < cfg.epsilon:
                 self.frozen_offset = self.projector.project(self.cmaes_state.mean)
+                self._frozen_affines = self.model.bind(self.frozen_offset)
                 self.telemetry.stops += 1
         return predictions, scores[best], rel_change, score, shift, forward_passes
 
     def _process_frozen(self, batch):
-        probs, stem = self.model.serve(self.frozen_offset, batch)
+        probs, stem = self.model.serve(self._frozen_affines, batch)
         forward_passes = 1
         batch_stats, score, shift = self._detect(*stem)
         if shift:

@@ -14,14 +14,15 @@ that one list.  The layers with a ReLU are the blocks whose output statistics
 enter the fitness; the first layer's pre-normalization output is the stem tap
 used for shift detection, which no offset can reach.  Two calls serve a
 batch: ``forward`` takes one offset or a population and also returns the
-block moments the fitness reads; ``serve`` takes one offset and returns only
-the probabilities and the stem moments, for a batch that is served but not
-scored (a frozen batch, the rescue of a degenerate one, no adaptation).
+block moments the fitness reads; ``serve`` takes one bound offset and returns
+only the probabilities and the stem moments, for a batch that is served but
+not scored (a frozen batch, the rescue of a degenerate one, no adaptation).
 
 Base weights are frozen after training.  Test-time adaptation never touches
-them: every forward call takes an offset vector (or a population of them, one
-per row) that is partitioned across the adaptable normalization scale/bias
-vectors and added functionally.
+them: an offset vector is partitioned across the adaptable normalization
+scale/bias vectors and added to copies of them.  ``forward`` does that layer
+by layer on every call, for one offset or a population (one per row);
+``bind`` does it once for one offset, and ``serve`` reads its result.
 
 Precision: the forward serves in float32 from the first layer's normalized
 output onward.  The first layer's linear map (weights, GEMM, the stem tap and
@@ -52,11 +53,12 @@ computes gradients.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_array, check_batch, check_int
+from .validation import check_array, check_batch, store_int
 
 _LN_EPS = 1e-5
 _TRAIN_BATCH = 128  # pretraining minibatch size
@@ -89,11 +91,11 @@ class ArchitectureConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "residual"):
             raise ValueError(f"unknown architecture kind: {self.kind!r}")
-        check_int(self.in_dim, "in_dim")
-        check_int(self.width, "width")
-        check_int(self.class_count, "class_count", minimum=2)
+        store_int(self, "in_dim")
+        store_int(self, "width")
+        store_int(self, "class_count", minimum=2)
         if self.kind == "residual":
-            check_int(self.blocks, "blocks", minimum=2)
+            store_int(self, "blocks", minimum=2)
 
     def layers(self) -> list[Layer]:
         """The layers in order, each of output width ``width``; the head follows.
@@ -178,8 +180,14 @@ def _serve_normalize(z):
     """
     n = z.shape[-1]
     rows = z[..., None, :]
-    z -= np.matmul(rows, np.ones((n, 1), z.dtype))[..., 0] / n
+    z -= np.matmul(rows, _ones_column(n, z.dtype))[..., 0] / n
     z *= 1.0 / np.sqrt(np.matmul(rows, z[..., :, None])[..., 0] / n + _LN_EPS)
+
+
+@functools.cache
+def _ones_column(n, dtype):
+    """The ``(n, 1)`` ones ``_serve_normalize`` sums rows with, made once per width and dtype."""
+    return np.ones((n, 1), dtype)
 
 
 def _linear(h, weight, bias):
@@ -190,9 +198,12 @@ def _linear(h, weight, bias):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Float64 softmax over the last axis, in place on a copy: ``exp(x - max) / sum``'s ufuncs."""
+    e = logits.astype(np.float64)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class AdaptableModel:
@@ -210,6 +221,8 @@ class AdaptableModel:
             arr.flags.writeable = False  # base weights are immutable
             self.weights[key] = arr
         self._check_weight_shapes()
+        w = self.weights
+        self._linears = [(w[f"{layer.name}.w"], w[f"{layer.name}.b"]) for layer in self.layers]
         # a scale and a bias of width w per adaptable layer, in list order
         self.offset_dim = 2 * config.width * sum(layer.adaptable for layer in self.layers)
 
@@ -242,12 +255,26 @@ class AdaptableModel:
 
     # -- inference ---------------------------------------------------------
 
-    def _activations(self, offsets: np.ndarray, X: np.ndarray, *, block_moments: bool = True):
+    def _affines(self, offsets):
+        """Each layer's (scale, bias), an adaptable one's plus its offset slices; lazily."""
+        width = self.config.width
+        start = 0
+        for layer in self.layers:
+            scale = self.weights[f"{layer.name}.ln_scale"]
+            bias = self.weights[f"{layer.name}.ln_bias"]
+            if layer.adaptable:
+                part = offsets[..., None, start : start + 2 * width]
+                scale = np.add(scale, part[..., :width], dtype=np.float32)
+                bias = np.add(bias, part[..., width:], dtype=np.float32)
+                start += 2 * width
+            yield scale, bias
+
+    def _activations(self, X: np.ndarray, affines, *, block_moments: bool = True):
         """Logits, and (mean, variance) over the batch of each block and the stem tap.
 
-        ``offsets`` is one offset ``(offset_dim,)`` or a population
-        ``(K, offset_dim)``; the population axis leads every offset-dependent
-        result.  Layers before the first offset run once on the ``(B, w)``
+        ``affines`` gives each layer's (scale, bias): ``_affines`` of one offset
+        or a population, whose axis leads every offset-dependent result, or
+        ``bind``'s.  Layers before the first offset run once on the ``(B, w)``
         batch and are shared by all K candidates: the mlp's first linear
         layer and its normalized activations, the residual model's fixed stem
         and its first block's linear layer.  From there on activations are
@@ -259,31 +286,20 @@ class AdaptableModel:
         ``block_moments``.  The first layer's normalized output is cast to
         float32, and the logits are float32.
         """
-        w = self.weights
-        width = self.config.width
         h = X
         stem = None
         blocks = []
-        start = 0  # each adaptable layer in turn takes a scale slice, then a bias slice
-        for layer in self.layers:
-            z = _linear(h, w[f"{layer.name}.w"], w[f"{layer.name}.b"])
+        for layer, (weight, bias), (scale, shift) in zip(self.layers, self._linears, affines):
+            z = _linear(h, weight, bias)
             if stem is None:
                 stem = _moments(z)  # before z is normalized in place
             _serve_normalize(z)
             z = z.astype(np.float32, copy=False)  # casts the first layer's xhat only
-            scale = w[f"{layer.name}.ln_scale"]
-            bias = w[f"{layer.name}.ln_bias"]
-            if layer.adaptable:
-                scale = np.add(scale, offsets[..., None, start : start + width], dtype=np.float32)
-                bias = np.add(
-                    bias, offsets[..., None, start + width : start + 2 * width], dtype=np.float32
-                )
-                start += 2 * width
             if scale.ndim > z.ndim:
                 z = z * scale  # the population axis enters: a new (K, B, w) array
             else:
                 z *= scale
-            z += bias
+            z += shift
             if layer.relu:
                 np.maximum(z, 0.0, out=z)
             if layer.skip:
@@ -291,8 +307,8 @@ class AdaptableModel:
             h = z
             if layer.relu and block_moments:
                 blocks.append(_moments(h))
-        logits = np.matmul(h, w["head.w"])
-        logits += w["head.b"]
+        logits = np.matmul(h, self.weights["head.w"])
+        logits += self.weights["head.b"]
         return logits, blocks, stem
 
     def forward(self, offsets, batch) -> tuple[np.ndarray, ActivationStats]:
@@ -314,24 +330,31 @@ class AdaptableModel:
             raise ValueError(f"offset must be 1- or 2-dimensional, got shape {offsets.shape}")
         offsets = check_array(offsets, "offset", length=self.offset_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, blocks, (stem_mean, stem_var) = self._activations(offsets, X)
-            probs = _softmax(logits.astype(np.float64))
+            logits, blocks, (stem_mean, stem_var) = self._activations(X, self._affines(offsets))
+            probs = _softmax(logits)
             means = [mean for mean, _ in blocks]
             stds = [np.sqrt(var) for _, var in blocks]
         return probs, ActivationStats(means, stds, stem_mean, stem_var)
 
-    def serve(self, offset, batch) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Probabilities ``(B, C)`` under one offset, and the stem tap's (mean, variance).
-
-        For a batch that is served but not scored: ``forward`` for a 1-D offset
-        without the block moments, which only the fitness reads.  Both outputs
-        are bit-identical to ``forward``'s.
-        """
-        X = check_batch(batch, "batch", width=self.config.in_dim)
+    def bind(self, offset) -> tuple:
+        """Check one offset ``(offset_dim,)``; return the per-layer affines ``serve`` reads."""
         offset = check_array(offset, "offset", ndim=1, length=self.offset_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, _, stem = self._activations(offset, X, block_moments=False)
-            return _softmax(logits.astype(np.float64)), stem
+            return tuple(self._affines(offset))
+
+    def serve(self, affines, batch) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Probabilities ``(B, C)`` under ``bind(offset)``'s affines, and the stem (mean, variance).
+
+        For a batch that is served but not scored: ``forward(offset, batch)``
+        without the block moments, which only the fitness reads, and
+        bit-identical to it.  Only the batch is checked; ``bind`` checked the offset.
+        """
+        if len(affines) != len(self.layers):
+            raise ValueError("serve takes the per-layer affines that bind(offset) returns")
+        X = check_batch(batch, "batch", width=self.config.in_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _, stem = self._activations(X, affines, block_moments=False)
+            return _softmax(logits), stem
 
     def stem_moments(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Batch mean and variance of the stem tap, the first layer's pre-normalization output.
@@ -341,9 +364,8 @@ class AdaptableModel:
         of any ``forward`` on the same batch, since no offset reaches the tap.
         """
         X = check_batch(batch, "batch", width=self.config.in_dim)
-        name = self.layers[0].name
         with np.errstate(over="ignore", invalid="ignore"):
-            return _moments(_linear(X, self.weights[f"{name}.w"], self.weights[f"{name}.b"]))
+            return _moments(_linear(X, *self._linears[0]))
 
     def zero_offset(self) -> np.ndarray:
         return np.zeros(self.offset_dim)
@@ -493,11 +515,11 @@ class _RunningMoments:
 def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
     """Aggregate per-block activation moments over in-distribution batches."""
     block_moments = [_RunningMoments(model.config.width) for _ in range(model.block_count)]
-    zero = model.zero_offset()
+    zero = model.bind(model.zero_offset())
     seen = 0
     for batch in source_batches:
         X = check_batch(batch, "source batch", width=model.config.in_dim)
-        _, blocks, _ = model._activations(zero, X)
+        _, blocks, _ = model._activations(X, zero)
         for moments, (mean, var) in zip(block_moments, blocks):
             moments.update(X.shape[0], mean, var)
         seen += X.shape[0]

@@ -54,6 +54,11 @@ def check_int(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def store_int(config, name: str, minimum: int = 1) -> None:
+    """``check_int`` a frozen config's field and store the Python int it returns there."""
+    object.__setattr__(config, name, check_int(getattr(config, name), name, minimum))
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -97,7 +97,7 @@ class TestRun:
         )
         report = run_prepared(identity, model, stats, gamma)
         clean_batches = make_source_batches(identity.stream_config(), 6400, 64, tag=4)
-        zero = model.zero_offset()
+        zero = model.bind(model.zero_offset())
         clean_acc = 100 * np.mean(
             [np.mean(np.argmax(model.serve(zero, X)[0], axis=1) == y) for X, y in clean_batches]
         )

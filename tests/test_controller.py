@@ -180,7 +180,7 @@ class TestProcessBatch:
             controller.process_batch(next(batches))
         batch = next(batches)
         expected = model.forward(controller.frozen_offset, batch)[0]
-        calls = {"fitness": 0, "_moments": 0}
+        calls = {"fitness": 0, "_moments": 0, "bind": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -193,14 +193,61 @@ class TestProcessBatch:
 
         counted(ctrl, "fitness")
         counted(pace.model, "_moments")
+        counted(pace.model.AdaptableModel, "bind")
         probs, report = controller.process_batch(batch)
-        # no fitness, and of the moments only the stem tap's, which the detector reads
-        assert calls == {"fitness": 0, "_moments": 1}
+        # no fitness, no bind (the stop bound the offset), and of the moments
+        # only the stem tap's, which the detector reads
+        assert calls == {"fitness": 0, "_moments": 1, "bind": 0}
         np.testing.assert_array_equal(probs, expected)
         assert report.mode == FROZEN and not report.shift_detected
         assert report.forward_passes == 1
         assert np.isnan(report.fitness_best)
         assert np.isfinite(report.shift_score)
+
+    @pytest.mark.parametrize("setup", ["tiny_setup", "tiny_residual_setup"])
+    def test_each_stop_binds_once_and_frozen_batches_serve_it(
+        self, setup, adapted_setup, request, monkeypatch
+    ):
+        _, model, stats = request.getfixturevalue(setup)
+        controller = PaceController(model, stats, adapted_setup[2])
+        bind, serve = pace.model.AdaptableModel.bind, pace.model.AdaptableModel.serve
+        binds, served = [], []
+
+        def counted_bind(self, offset):
+            binds.append(offset)
+            return bind(self, offset)
+
+        def recorded_serve(self, affines, batch):
+            served.append(serve(self, affines, batch))
+            return served[-1]
+
+        monkeypatch.setattr(pace.model.AdaptableModel, "bind", counted_bind)
+        monkeypatch.setattr(pace.model.AdaptableModel, "serve", recorded_serve)
+        specs = [DomainSpec("feature_scale", scale, 40) for scale in (1.8, 0.5, 1.8)]
+        frozen = 0
+        for batch in generate_stream(_stream_config(specs, seed=3)):
+            X = batch.features
+            was_frozen = controller.mode == FROZEN
+            if was_frozen:
+                expected, stats_expected = model.forward(controller.frozen_offset, X)
+            stops, bound = controller.telemetry.stops, len(binds)
+            served.clear()
+            probs, report = controller.process_batch(X)
+            # a bind exactly when this batch stopped the search, of the offset it froze
+            assert len(binds) - bound == controller.telemetry.stops - stops
+            if len(binds) > bound:
+                assert binds[-1] is controller.frozen_offset
+            if was_frozen:
+                frozen += 1
+                [(served_probs, (stem_mean, stem_var))] = served
+                np.testing.assert_array_equal(probs, expected)
+                np.testing.assert_array_equal(served_probs, expected)
+                np.testing.assert_array_equal(stem_mean, stats_expected.stem_mean)
+                np.testing.assert_array_equal(stem_var, stats_expected.stem_var)
+        telem = controller.telemetry
+        # stop -> shift -> stop cycles, with no rescue (which binds the zero offset)
+        assert telem.shifts_detected >= 1 and telem.stops >= 2 and telem.rescue_forwards == 0
+        assert len(binds) == telem.stops and frozen == telem.frozen_batches > 0
 
     def test_adapting_batch_costs_population_forwards(self, adapted_setup):
         model, stats, config = adapted_setup

@@ -100,7 +100,7 @@ def _reference_train(config: ArchitectureConfig, w: dict, X, onehot):
 
 def _predict(model, X):
     """Class predictions of the unadapted model."""
-    return np.argmax(model.serve(model.zero_offset(), X)[0], axis=1)
+    return np.argmax(model.serve(model.bind(model.zero_offset()), X)[0], axis=1)
 
 
 def two_blob_data(n=600, seed=0):
@@ -178,7 +178,7 @@ class TestLayout:
         np.testing.assert_array_equal(rebuilt_probs, probs)
         for a, b in zip(stats.means + stats.stds, rebuilt_stats.means + rebuilt_stats.stds):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(rebuilt.serve(offsets[0], X)[0], probs[0])
+        np.testing.assert_array_equal(rebuilt.serve(rebuilt.bind(offsets[0]), X)[0], probs[0])
 
 
 class TestServe:
@@ -190,16 +190,42 @@ class TestServe:
         X = rng.standard_normal((64, 3))
         offset = scale * rng.standard_normal(model.offset_dim)
         probs, stats = model.forward(offset, X)
-        served, (stem_mean, stem_var) = model.serve(offset, X)
+        served, (stem_mean, stem_var) = model.serve(model.bind(offset), X)
         np.testing.assert_array_equal(served, probs)
         np.testing.assert_array_equal(stem_mean, stats.stem_mean)
         np.testing.assert_array_equal(stem_var, stats.stem_var)
 
     def test_population_of_offsets_rejected(self, mlp_model):
-        X = np.random.default_rng(8).standard_normal((4, 3))
         offsets = np.zeros((2, mlp_model.offset_dim))
         with pytest.raises(ValueError, match="offset must be 1-dimensional"):
-            mlp_model.serve(offsets, X)
+            mlp_model.bind(offsets)
+
+    @pytest.mark.parametrize("fixture", ["mlp_model", "residual_model"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("short", r"offset must have length \d+, got shape \(\d+,\)"),
+            ("long", r"offset must have length \d+, got shape \(\d+,\)"),
+            ("nan", "offset contains non-finite values"),
+            ("inf", "offset contains non-finite values"),
+        ],
+    )
+    def test_bind_checks_the_offset(self, fixture, defect, message, request):
+        model = request.getfixturevalue(fixture)
+        D = model.offset_dim
+        offset = {
+            "short": np.zeros(D - 1),
+            "long": np.zeros(D + 1),
+            "nan": np.where(np.arange(D) == 3, np.nan, 0.0),
+            "inf": np.where(np.arange(D) == 3, -np.inf, 0.0),
+        }[defect]
+        with pytest.raises(ValueError, match=message):
+            model.bind(offset)
+
+    def test_serve_takes_bound_affines_only(self, mlp_model):
+        X = np.random.default_rng(8).standard_normal((4, 3))
+        with pytest.raises(ValueError, match=r"bind\(offset\)"):
+            mlp_model.serve(mlp_model.zero_offset(), X)
 
 
 class TestForward:
@@ -207,7 +233,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((16, 3))
         probs_a, _ = residual_model.forward(residual_model.zero_offset(), X)
-        probs_b = residual_model.serve(residual_model.zero_offset(), X)[0]
+        probs_b = residual_model.serve(residual_model.bind(residual_model.zero_offset()), X)[0]
         np.testing.assert_array_equal(probs_a, probs_b)
 
     def test_deterministic(self, residual_model):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,21 @@ def test_count_rejection_names_the_setting(value, site):
     setting, minimum, call = COUNTS[site]
     with pytest.raises(ValueError, match=rf"^{setting} must be "):
         call(minimum - 1 if value is None else value)
+
+
+STORED_AS = {"cmaes.init": "dim"}
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_numpy_integer_count_is_stored_as_python_int(site):
+    setting, _, call = COUNTS[site]
+    built = call(np.int64(32))
+    # check_int returns the count; a CMA-ES state keeps d as its dimension
+    stored = built if site == "check_int" else getattr(built, STORED_AS.get(site, setting))
+    assert type(stored) is int and stored == 32
+
+
+def test_numpy_integer_seed_fingerprints_and_serializes_as_int():
+    numpy_seed, python_seed = RunConfig(seed=np.int64(3)), RunConfig(seed=3)
+    assert numpy_seed.stream_fingerprint() == python_seed.stream_fingerprint()
+    assert json.dumps(numpy_seed.as_dict()) == json.dumps(python_seed.as_dict())
