@@ -48,12 +48,17 @@ most 1e-5 in float32, 1e-13 in float64).  The caller's batch and offsets are
 never written.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
-locally, in float64 on its own weight dictionary; adaptation itself never
-computes gradients.
+locally, in float64 on flat buffers of its own with per-layer views into
+them; adaptation itself never computes gradients.  Each training layer
+overwrites one new array with its affine, ReLU and skip connection, the
+backward pass writes each gradient into its view, and one Adam step updates
+the flat buffers in place, chunk by chunk: all bit-identical to the
+allocating expressions and per-weight update they replaced (``pretrain``).
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +68,8 @@ from .validation import check_array, check_batch, store_int
 _LN_EPS = 1e-5
 _TRAIN_BATCH = 128  # pretraining minibatch size
 _TRAIN_LEARNING_RATE = 3e-3  # Adam step size
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_CHUNK = 65536  # elements per Adam pass over the flat buffers, bounding its scratch
 
 
 @dataclass(frozen=True)
@@ -391,11 +398,27 @@ def _init_weights(config: ArchitectureConfig, rng: np.random.Generator) -> dict:
     return weights
 
 
+def _flat_views(buffer: np.ndarray, shapes: dict) -> dict:
+    """Consecutive reshaped views into the flat ``buffer``, one per key of ``shapes``, in order."""
+    views = {}
+    start = 0
+    for key, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[key] = buffer[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 def _forward_train(layers: list[Layer], w: dict, X: np.ndarray):
     """Float64 forward pass over the weight dict ``w`` with cached intermediates (zero offsets).
 
-    The cache is ``(h_in, n, xhat, inv_std)`` per layer, in layer order,
-    plus the activations that enter the head.
+    The cache is ``(h_in, relu_mask, xhat, inv_std)`` per layer, in layer
+    order, plus the activations that enter the head.  ``relu_mask`` marks
+    where the ReLU's input is positive, so where it passes the gradient; it
+    is None for a layer without ReLU.  The affine, the ReLU and the skip
+    connection overwrite one new array, by the ufuncs of
+    ``h + maximum(xhat * scale + bias, 0)``, so a layer caches its output,
+    ``xhat`` and the mask and nothing more.
     """
     per_layer = []
     h = X
@@ -403,44 +426,118 @@ def _forward_train(layers: list[Layer], w: dict, X: np.ndarray):
         name = layer.name
         xhat = _linear(h, w[f"{name}.w"], w[f"{name}.b"])
         inv_std = _normalize(xhat)
-        # a new array: backward reads both xhat and n
-        n = xhat * w[f"{name}.ln_scale"]
-        n += w[f"{name}.ln_bias"]
-        per_layer.append((h, n, xhat, inv_std))
-        a = np.maximum(n, 0.0) if layer.relu else n
-        h = h + a if layer.skip else a
+        out = xhat * w[f"{name}.ln_scale"]  # a new array: backward reads xhat
+        out += w[f"{name}.ln_bias"]
+        mask = None
+        if layer.relu:
+            mask = out > 0
+            np.maximum(out, 0.0, out=out)
+        if layer.skip:
+            out += h  # IEEE addition commutes, so bitwise equal to h + out
+        per_layer.append((h, mask, xhat, inv_std))
+        h = out
     logits = _linear(h, w["head.w"], w["head.b"])
     return logits, (per_layer, h)
 
 
-def _layer_norm_backward(d_out, xhat, inv_std, scale):
-    d_scale = (d_out * xhat).sum(axis=0)
-    d_bias = d_out.sum(axis=0)
+def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias):
+    """The layer norm's input gradient; writes its scale and bias gradients into the last two.
+
+    The ufuncs and their order are those of ``inv_std * (d_xhat - mean(d_xhat)
+    - xhat * mean(d_xhat * xhat))`` with ``d_xhat = d_out * scale``, each mean
+    ``np.add.reduce(...) / n`` as ``np.mean`` takes it, so the result is
+    bit-identical to that expression.  ``d_out`` is left untouched.
+    """
+    n = xhat.shape[1]
+    product = d_out * xhat
+    np.add.reduce(product, axis=0, out=d_scale)
+    np.add.reduce(d_out, axis=0, out=d_bias)
     d_xhat = d_out * scale
-    d_z = inv_std * (
-        d_xhat
-        - d_xhat.mean(axis=1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
-    )
-    return d_z, d_scale, d_bias
+    np.multiply(d_xhat, xhat, out=product)
+    mean_d_xhat = np.add.reduce(d_xhat, axis=1, keepdims=True) / n
+    np.multiply(xhat, np.add.reduce(product, axis=1, keepdims=True) / n, out=product)
+    d_xhat -= mean_d_xhat
+    d_xhat -= product
+    d_xhat *= inv_std
+    return d_xhat
 
 
-def _backward(layers: list[Layer], w: dict, cache, d_logits: np.ndarray) -> dict:
-    """Gradients of every weight in ``w``, given ``_forward_train``'s cache and the logit gradient."""
+def _backward(layers: list[Layer], w: dict, cache, d_logits: np.ndarray, grads: dict):
+    """Write the gradient of every weight in ``w`` into the same key of ``grads``.
+
+    ``cache`` is ``_forward_train``'s and ``d_logits`` the logit gradient.
+    Each gradient is written by ``np.matmul(h.T, d, out=)`` or
+    ``np.add.reduce(d, axis=0, out=)``, the calls of ``h.T @ d`` and
+    ``d.sum(axis=0)``, so bit-identical to them.
+    """
     per_layer, h = cache
-    grads = {"head.w": h.T @ d_logits, "head.b": d_logits.sum(axis=0)}
+    np.matmul(h.T, d_logits, out=grads["head.w"])
+    np.add.reduce(d_logits, axis=0, out=grads["head.b"])
     d_h = d_logits @ w["head.w"].T
-    for layer, (h_in, n, xhat, inv_std) in zip(reversed(layers), reversed(per_layer)):
+    for layer, (h_in, mask, xhat, inv_std) in zip(reversed(layers), reversed(per_layer)):
         name = layer.name
-        d_n = d_h * (n > 0) if layer.relu else d_h
-        d_z, d_scale, d_bias = _layer_norm_backward(d_n, xhat, inv_std, w[f"{name}.ln_scale"])
-        grads[f"{name}.ln_scale"] = d_scale
-        grads[f"{name}.ln_bias"] = d_bias
-        grads[f"{name}.w"] = h_in.T @ d_z
-        grads[f"{name}.b"] = d_z.sum(axis=0)
+        d_n = d_h * mask if layer.relu else d_h
+        d_z = _layer_norm_backward(
+            d_n, xhat, inv_std, w[f"{name}.ln_scale"],
+            grads[f"{name}.ln_scale"], grads[f"{name}.ln_bias"],
+        )
+        np.matmul(h_in.T, d_z, out=grads[f"{name}.w"])
+        np.add.reduce(d_z, axis=0, out=grads[f"{name}.b"])
+        if layer is layers[0]:
+            break  # no gradient of the input batch is needed
         d_in = d_z @ w[f"{name}.w"].T
-        d_h = d_h + d_in if layer.skip else d_in
-    return grads
+        if layer.skip:
+            d_in += d_h  # IEEE addition commutes, so bitwise equal to d_h + d_in
+        d_h = d_in
+
+
+def _adam_step(weights, grads, moments, step: int, scratch: np.ndarray):
+    """Adam step ``step`` (from 1) in place on the flat buffers, ``_ADAM_CHUNK`` elements at a time.
+
+    ``moments`` holds the first and second moment ``m`` and ``v`` as its two
+    rows.  Per chunk the ufuncs of ``m = m*beta1 + g*(1-beta1)``,
+    ``v = v*beta2 + (g*(1-beta2))*g`` and ``w -= lr*(m/c1) / (sqrt(v/c2)+eps)``
+    run in that order, so every weight is bit-identical to the allocating
+    update of each weight array on its own.  The two rows of ``scratch`` hold
+    the temporaries: two chunk-sized arrays, not two parameter-sized ones.
+    """
+    c1 = 1 - _ADAM_BETA1**step
+    c2 = 1 - _ADAM_BETA2**step
+    for lo in range(0, weights.size, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, weights.size)
+        g, (m_part, v_part) = grads[lo:hi], moments[:, lo:hi]
+        a, b = scratch[:, : hi - lo]
+        m_part *= _ADAM_BETA1
+        np.multiply(g, 1 - _ADAM_BETA1, out=a)
+        m_part += a
+        v_part *= _ADAM_BETA2
+        np.multiply(g, 1 - _ADAM_BETA2, out=a)
+        a *= g
+        v_part += a
+        np.divide(m_part, c1, out=a)
+        a *= _TRAIN_LEARNING_RATE
+        np.divide(v_part, c2, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        weights[lo:hi] -= a
+
+
+def _check_labels(y, sample_count: int, class_count: int) -> np.ndarray:
+    """``y`` as int64 class indices; a non-integral or out-of-range label raises before the cast."""
+    labels = np.asarray(y)
+    if labels.shape != (sample_count,):
+        raise ValueError("y must be a label vector matching X")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(labels) & (labels == np.trunc(labels))))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"labels must be integral class indices, got y[{i}] = {labels[i]}")
+    elif labels.dtype.kind not in "biu":
+        raise ValueError(f"labels must be integral class indices, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= class_count:
+        raise ValueError("labels out of range")
+    return labels.astype(np.int64)
 
 
 def pretrain(
@@ -452,42 +549,50 @@ def pretrain(
 ) -> AdaptableModel:
     """Train base weights on labeled source data with Adam; deterministic per seed.
 
-    Training runs in float64 on its own weight dict, which is cast into the
-    model's serving precision once, at the end.
+    Training runs in float64 on three flat buffers: the weights, the
+    gradients and the two Adam moments.  The per-layer weight and gradient
+    dicts that ``_forward_train`` and ``_backward`` use are reshaped views into
+    the first two.  ``_backward`` writes each gradient into its view, and one
+    chunked Adam pass (``_adam_step``) updates every weight, bit for bit as
+    the allocating update of each weight array on its own would.  The weights
+    are cast into the model's serving precision once, at the end.  ``y`` must
+    hold integral class indices; a fractional or non-finite label is refused,
+    not truncated.
     """
     X = check_batch(X, "X", width=config.in_dim)
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must be a label vector matching X")
-    if y.min() < 0 or y.max() >= config.class_count:
-        raise ValueError("labels out of range")
+    y = _check_labels(y, X.shape[0], config.class_count)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(101,))))
     layers = config.layers()
-    weights = _init_weights(config, rng)
+    initial = _init_weights(config, rng)
+    shapes = {key: arr.shape for key, arr in initial.items()}
+    flat_weights = np.concatenate([arr.ravel() for arr in initial.values()])
+    del initial
+    flat_grads = np.empty_like(flat_weights)
+    moments = np.zeros((2, flat_weights.size))
+    scratch = np.empty((2, min(flat_weights.size, _ADAM_CHUNK)))
+    weights = _flat_views(flat_weights, shapes)
+    grads = _flat_views(flat_grads, shapes)
 
     onehot = np.eye(config.class_count)[y]
-    mated = {k: np.zeros_like(v) for k, v in weights.items()}
-    v_adam = {k: np.zeros_like(v) for k, v in weights.items()}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     n_samples = X.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n_samples)
         for lo in range(0, n_samples, _TRAIN_BATCH):
             idx = order[lo : lo + _TRAIN_BATCH]
+            # the last cache is freed only as this one is bound: freed before,
+            # its pages went back to the OS and faulted in again every step
             logits, cache = _forward_train(layers, weights, X[idx])
-            probs = _softmax(logits)
-            d_logits = (probs - onehot[idx]) / idx.shape[0]
-            grads = _backward(layers, weights, cache, d_logits)
+            d_logits = _softmax(logits)  # a new array: (probs - onehot) / B in place
+            d_logits -= onehot[idx]
+            d_logits /= idx.shape[0]
+            _backward(layers, weights, cache, d_logits, grads)
             step += 1
-            for key, g in grads.items():
-                mated[key] = beta1 * mated[key] + (1 - beta1) * g
-                v_adam[key] = beta2 * v_adam[key] + (1 - beta2) * g * g
-                m_hat = mated[key] / (1 - beta1**step)
-                v_hat = v_adam[key] / (1 - beta2**step)
-                weights[key] = weights[key] - _TRAIN_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+            _adam_step(flat_weights, flat_grads, moments, step, scratch)
 
+    # the model copies the weights into its own arrays; free the rest before that
+    del grads, flat_grads, moments, scratch
     return AdaptableModel(config, weights)
 
 
