@@ -47,6 +47,16 @@ statistics by one BLAS dot per row, in the layer's precision and with no
 most 1e-5 in float32, 1e-13 in float64).  The caller's batch and offsets are
 never written.
 
+Threads: a population ``forward`` whose per-layer GEMMs are large enough
+(``_chunk_count``) splits its candidates into contiguous chunks, at most one
+per usable CPU.  The calling thread runs chunk 0 and a process-wide thread
+pool, made on first use, runs the others; numpy releases the GIL inside the
+GEMMs and the large ufuncs, so the chunks overlap.  Row k of a population is
+bit-identical to the one-offset call, so it cannot depend on the chunk that
+computed it: every chunk count gives the same bits.  ``serve``, ``bind``,
+``compute_source_stats``, training and every one-offset call run on the
+calling thread alone.
+
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally, in float64 on flat buffers of its own with per-layer views into
 them; adaptation itself never computes gradients.  Each training layer
@@ -59,6 +69,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +82,8 @@ _TRAIN_BATCH = 128  # pretraining minibatch size
 _TRAIN_LEARNING_RATE = 3e-3  # Adam step size
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _ADAM_CHUNK = 65536  # elements per Adam pass over the flat buffers, bounding its scratch
+# per-layer GEMM work (rows x width**2) a population chunk must keep to pay for its thread
+_CHUNK_MIN_WORK = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -213,6 +227,60 @@ def _softmax(logits):
     return e
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_count(candidates: int, rows: int, width: int) -> int:
+    """How many chunks a population forward of ``candidates`` on a ``rows``-row batch splits into.
+
+    At most one per usable CPU, and at most as many as keep every chunk's
+    per-layer GEMM work, its rows times ``width`` squared, at
+    ``_CHUNK_MIN_WORK`` or above; below that, running a chunk on another
+    thread cost more than it saved (``CHANGES.md`` has the crossover).  The
+    smallest of ``n`` contiguous chunks holds ``candidates // n`` candidates,
+    hence the floor division.  Only the shape and the CPU set decide.
+    """
+    per_candidate = rows * width * width
+    fewest = max(1, -(-_CHUNK_MIN_WORK // per_candidate))  # candidates per chunk, at least
+    by_work = candidates // fewest
+    if by_work < 2:
+        return 1  # the one-chunk path never asks for the CPU set
+    return min(by_work, _usable_cpus())
+
+
+_EXECUTOR = None  # the population forward's worker threads, made on first use
+_EXECUTOR_LOCK = threading.Lock()  # so that callers on several threads make one pool
+
+
+def _executor():
+    """The process-wide thread pool that runs every population chunk but the first."""
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            from concurrent.futures import ThreadPoolExecutor  # lazily: most processes never chunk
+
+            _EXECUTOR = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1), thread_name_prefix="pace-forward"
+            )
+        return _EXECUTOR
+
+
+def _forget_executor():
+    """In a forked child: drop the pool, whose copy has no live thread, and renew the lock."""
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR = None
+    _EXECUTOR_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
 class AdaptableModel:
     """A trained classifier whose normalization affine parameters accept offsets."""
 
@@ -318,26 +386,61 @@ class AdaptableModel:
         logits += self.weights["head.b"]
         return logits, blocks, stem
 
+    def _chunk_activations(self, X: np.ndarray, offsets: np.ndarray):
+        """A chunk's ``_activations``, under an ``np.errstate`` of its own: that is per thread."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._activations(X, self._affines(offsets))
+
+    def _population_activations(self, X: np.ndarray, offsets: np.ndarray):
+        """``_activations`` of ``offsets``, its candidates split into chunks that run concurrently.
+
+        Chunk 0 runs on the caller, the others on ``_executor``'s threads; the
+        logits and each block's (mean, variance) are joined along the
+        population axis, and the stem moments are chunk 0's.
+        """
+        count = _chunk_count(len(offsets) if offsets.ndim == 2 else 1, len(X), self.config.width)
+        if count == 1:
+            return self._activations(X, self._affines(offsets))
+        first, *rest = np.array_split(offsets, count)
+        futures = [_executor().submit(self._chunk_activations, X, chunk) for chunk in rest]
+        parts = [self._chunk_activations(X, first)] + [future.result() for future in futures]
+        logits = np.concatenate([part[0] for part in parts])
+        # per block, the chunks' (mean, variance) pairs become one pair of joined arrays
+        blocks = [tuple(map(np.concatenate, zip(*block))) for block in zip(*(p[1] for p in parts))]
+        return logits, blocks, parts[0][2]
+
     def forward(self, offsets, batch) -> tuple[np.ndarray, ActivationStats]:
         """Adapted forward pass: probabilities plus activation statistics.
 
         ``offsets`` of shape ``(offset_dim,)`` is added to the adaptable
         normalization parameters for this call only; it returns
         probabilities ``(B, C)`` and statistics of shape ``(w,)``.  Shape
-        ``(K, offset_dim)`` evaluates a population of K candidates in one
-        pass: probabilities ``(K, B, C)`` and per-block statistics
-        ``(K, w)``, where row k is bit-identical to ``forward(offsets[k],
-        batch)``.  The batch must be finite; non-finite *activations* (from
-        extreme offsets, such as one beyond float32 range) are tolerated
-        without warnings, and ``fitness`` scores such a candidate ``inf``.
+        ``(K, offset_dim)`` with K >= 1 evaluates a population of K
+        candidates in one pass: probabilities ``(K, B, C)`` and per-block
+        statistics ``(K, w)``, where row k is bit-identical to
+        ``forward(offsets[k], batch)``.  The batch must be finite;
+        non-finite *activations* (from extreme offsets, such as one beyond
+        float32 range) are tolerated without warnings, and ``fitness``
+        scores such a candidate ``inf``.
+
+        A population large enough to pay for it (``_chunk_count``) is split
+        into contiguous candidate chunks, one per usable CPU at most: chunk 0
+        runs on the calling thread, the rest on a process-wide thread pool,
+        and the results are joined along the population axis.  Since row k
+        is already bit-identical to the one-offset call, it cannot depend on
+        which chunk computed it, so the output is the same bits at any
+        chunk count.  Everything else, ``serve`` and any one-offset call
+        included, runs on the calling thread.
         """
         X = check_batch(batch, "batch", width=self.config.in_dim)
         offsets = np.asarray(offsets, dtype=np.float64)
         if offsets.ndim not in (1, 2):
             raise ValueError(f"offset must be 1- or 2-dimensional, got shape {offsets.shape}")
+        if offsets.ndim == 2 and offsets.shape[0] == 0:
+            raise ValueError(f"offset population is empty, got shape {offsets.shape}")
         offsets = check_array(offsets, "offset", length=self.offset_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, blocks, (stem_mean, stem_var) = self._activations(X, self._affines(offsets))
+            logits, blocks, (stem_mean, stem_var) = self._population_activations(X, offsets)
             probs = _softmax(logits)
             means = [mean for mean, _ in blocks]
             stds = [np.sqrt(var) for _, var in blocks]

@@ -13,11 +13,18 @@ summation order, so its bound is exact equality.
 """
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import pace.model as pace_model
 from pace.bank import VectorBank
 from pace.fitness import FitnessConfig, fitness
 from pace.model import AdaptableModel, ArchitectureConfig, _init_weights, compute_source_stats
@@ -240,3 +247,195 @@ def test_full_bank_retrieval_matches_candidate_by_candidate_scoring(tiny_setup):
     assert result.forward_passes == len(candidates) == 31
     assert result.fitnesses == oracle
     np.testing.assert_array_equal(result.vector, candidates[int(np.argmin(oracle))])
+
+
+@pytest.mark.parametrize("kind", ["mlp", "residual"])
+def test_empty_population_is_refused_up_front(kind):
+    model, _ = _model(kind, seed=15)
+    X = np.random.default_rng(16).standard_normal((8, 5))
+    shape = rf"\(0, {model.offset_dim}\)"
+    with pytest.raises(ValueError, match=rf"offset population is empty, got shape {shape}"):
+        model.forward(np.zeros((0, model.offset_dim)), X)
+
+
+def _force_chunks(monkeypatch, cpus: int):
+    """Chunk every population into ``min(K, cpus)``: no work floor, ``cpus`` usable CPUs."""
+    monkeypatch.setattr(pace_model, "_CHUNK_MIN_WORK", 0)
+    monkeypatch.setattr(pace_model, "_usable_cpus", lambda: cpus)
+
+
+def _outputs(model, offsets, X) -> list[np.ndarray]:
+    """Everything a population forward returns: probabilities, block moments, stem moments."""
+    probs, stats = model.forward(offsets, X)
+    return [probs, *stats.means, *stats.stds, stats.stem_mean, stats.stem_var]
+
+
+def _population(model, K: int, seed: int):
+    rng = np.random.default_rng(seed)
+    X = 1.5 * rng.standard_normal((64, model.config.in_dim))
+    offsets = 0.3 * rng.standard_normal((K, model.offset_dim))
+    offsets[-1] = 1e308  # non-finite activations, in the last chunk: a worker's
+    return X, offsets
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("K", [2, 3, 12, 31])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(dict(kind="mlp"), id="mlp"),
+        pytest.param(dict(kind="residual"), id="residual"),
+        pytest.param(WIDE, id="wide"),
+    ],
+)
+def test_chunked_population_forward_is_bit_identical_to_one_chunk(shape, K, cpus, monkeypatch):
+    model, _ = _model(seed=17, **shape)
+    X, offsets = _population(model, K, seed=18)
+    monkeypatch.setattr(pace_model, "_usable_cpus", lambda: 1)
+    expected = _outputs(model, offsets, X)
+
+    _force_chunks(monkeypatch, cpus)
+    count = min(K, cpus)
+    assert pace_model._chunk_count(K, len(X), model.config.width) == count
+    chunks = []  # (rows, thread) of every chunk
+    run_chunk = pace_model.AdaptableModel._chunk_activations
+
+    def spy(self, X, offsets):
+        chunks.append((len(offsets), threading.current_thread()))
+        return run_chunk(self, X, offsets)
+
+    monkeypatch.setattr(pace_model.AdaptableModel, "_chunk_activations", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outputs(model, offsets, X)
+
+    sizes = [len(chunk) for chunk in np.array_split(offsets, count)]
+    caller = threading.current_thread()
+    assert len(chunks) == count
+    assert sorted(rows for rows, thread in chunks if thread is not caller) == sorted(sizes[1:])
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert not np.isfinite(got[0][-1]).all() and np.isfinite(got[0][:-1]).all()
+
+
+def test_chunk_count_is_decided_by_shape_and_usable_cpus(monkeypatch):
+    """The benchmark's shapes: its toy populations stay whole, its wide one splits per CPU."""
+    def no_cpu_query():
+        raise AssertionError("a one-chunk decision does not ask for the CPU set")
+
+    monkeypatch.setattr(pace_model, "_usable_cpus", no_cpu_query)
+    # the toy mlp (width 64, B = 64): a population (K = 12) and a full-bank retrieval (K = 31)
+    assert pace_model._chunk_count(12, 64, 64) == 1
+    assert pace_model._chunk_count(31, 64, 64) == 1
+    assert pace_model._chunk_count(1, 64, 256) == 1
+    for cpus, count in ((1, 1), (2, 2)):
+        monkeypatch.setattr(pace_model, "_usable_cpus", lambda: cpus)
+        assert pace_model._chunk_count(12, 64, 256) == count  # WIDE, K = 12
+
+
+def test_worker_exception_reaches_the_caller_and_the_next_forward_works(monkeypatch):
+    model, _ = _model(seed=19, **WIDE)
+    X, offsets = _population(model, 12, seed=20)
+    expected = _outputs(model, offsets, X)
+    _force_chunks(monkeypatch, 2)
+    affines = pace_model.AdaptableModel._affines
+
+    def failing_off_the_caller(self, offsets):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return affines(self, offsets)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pace_model.AdaptableModel, "_affines", failing_off_the_caller)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            model.forward(offsets, X)
+    for a, b in zip(_outputs(model, offsets, X), expected):
+        np.testing.assert_array_equal(a, b)
+
+
+def _send_forward(model, offsets, X, conn):
+    conn.send(_outputs(model, offsets, X))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_runs_a_chunked_forward(monkeypatch):
+    """A pool inherited across ``fork`` has no live thread; the child must not wait on it."""
+    model, _ = _model(seed=21, **WIDE)
+    X, offsets = _population(model, 12, seed=22)
+    expected = _outputs(model, offsets, X)
+    _force_chunks(monkeypatch, 2)
+    _outputs(model, offsets, X)  # the parent's pool now has a live worker
+    assert pace_model._EXECUTOR is not None
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_forward, args=(model, offsets, X, send))
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a multi-threaded process may deadlock the child:
+        # the case under test
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child's chunked forward did not finish"
+        got = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_concurrent_callers_make_one_pool_and_keep_every_bit(monkeypatch):
+    """Four calling threads, more chunks than cores, and a switch interval of 1 us."""
+    model, _ = _model(seed=23, **WIDE)
+    X, offsets = _population(model, 12, seed=24)
+    expected = _outputs(model, offsets, X)
+    _force_chunks(monkeypatch, 5)
+    monkeypatch.setattr(pace_model, "_EXECUTOR", None)
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            time.sleep(0.05)  # a slow start: every caller arrives before the pool exists
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    results, errors = [], []
+    start = threading.Barrier(4)
+
+    def call():
+        try:
+            start.wait(60)
+            for _ in range(3):
+                results.append(_outputs(model, offsets, X))
+        except BaseException as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert errors == [] and len(results) == 12
+    assert len(pools) == 1
+    for got in results:
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)

@@ -21,7 +21,12 @@ The inputs are fixed and there are no options.  The components:
   quadratic;
 * ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
   builds for ``RunConfig(seed=0..4)`` and for sub-stream 0 of the
-  ``wide-adapt`` benchmark workload.
+  ``wide-adapt`` benchmark workload;
+* ``forward.wide`` -- the probabilities and block moments of one K = 12
+  population forward of that ``wide-adapt`` model on a fixed batch: the shape
+  whose population forward runs in chunks on more than one usable CPU, so
+  equal lines under ``taskset -c 0`` and on more CPUs mean the chunks move
+  no bit.
 
 It reads only the public program API and the benchmark's workload table, so
 the same file runs on any checkout that has them.  About 90 s on a 2-CPU x86
@@ -107,10 +112,19 @@ def feed_run_dir(h, out: Path) -> None:
         h.update(b"".join(line for line in lines if not UNSTABLE_LINE.match(line)))
 
 
+def feed_population_forward(h, model) -> None:
+    """Hash a K = 12 population forward of ``model`` on a fixed batch and fixed offsets."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2020)))
+    batch = rng.standard_normal((64, model.config.in_dim))
+    probs, stats = model.forward(0.1 * rng.standard_normal((12, model.offset_dim)), batch)
+    feed(h, (probs, stats.means, stats.stds))
+
+
 def main() -> int:
     digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
     for name in (
-        "run_prepared", "run_dir", "transform", "cmaes", "weights", "source_stats", "gamma"
+        "run_prepared", "run_dir", "transform", "cmaes", "weights", "source_stats", "gamma",
+        "forward.wide",
     ):
         digests[name] = hashlib.sha256()
 
@@ -124,6 +138,7 @@ def main() -> int:
             feed(digests["source_stats"], source_stats)
             feed(digests["gamma"], gamma)
             if i >= len(SEEDS):
+                feed_population_forward(digests["forward.wide"], model)
                 continue  # the wide-adapt assets only
             for method in METHODS:
                 config = dataclasses.replace(base, method=method)
