@@ -1,5 +1,4 @@
 from .stream import (
-    CORRUPTION_KINDS,
     DomainSpec,
     StreamBatch,
     StreamConfig,
@@ -19,7 +18,6 @@ from .run import (
 )
 
 __all__ = [
-    "CORRUPTION_KINDS",
     "DomainSpec",
     "StreamBatch",
     "StreamConfig",

@@ -60,7 +60,7 @@ def standard_domain_sequence(batch_count: int = 100) -> tuple[DomainSpec, ...]:
     Four distinct feature-scale patterns: each one is a per-feature affine
     distortion of the inputs, the shift family that normalization offsets can
     actually counteract, so the stream rewards adaptation on every domain.
-    The other corruption kinds remain available for custom configs.
+    Custom configs vary the severities and batch counts of the same kind.
     """
     return (
         DomainSpec("feature_scale", 2.2, batch_count),
@@ -130,11 +130,14 @@ class RunConfig:
             raise ValueError("calibration_batches must exceed calibration_warmup")
 
     def stream_config(self) -> StreamConfig:
-        seq = (
-            parse_domain_sequence(self.domain_sequence)
-            if self.domain_sequence
-            else standard_domain_sequence()
-        )
+        try:
+            seq = (
+                parse_domain_sequence(self.domain_sequence)
+                if self.domain_sequence
+                else standard_domain_sequence()
+            )
+        except ValueError as exc:
+            raise ValueError(f"domain_sequence: {exc}") from exc
         return StreamConfig(
             domain_sequence=seq,
             base_task=self.base_task,

@@ -1,10 +1,12 @@
 """Synthetic non-stationary evaluation streams.
 
-A stream is a deterministic sequence of labeled batches: clean samples from a
-base task, pushed through a per-domain corruption.  Labels and domain ids
-travel alongside the features for the metrics layer only; the adapter never
-sees them.  Recurring-domain protocols repeat the domain sequence for
-``rounds`` passes, re-applying identical corruptions to fresh samples.
+A stream is a deterministic sequence of labeled batches: clean samples from
+the ``blobs8`` task (Gaussian blobs, one per class), scaled per domain by the
+``feature_scale`` corruption, which multiplies features 0, 2, 4, ... by the
+domain's severity and divides the others by it.  Labels and domain ids travel
+alongside the features for the metrics layer only; the adapter never sees
+them.  Recurring-domain protocols repeat the domain sequence for ``rounds``
+passes, re-applying identical scales to fresh samples.
 """
 from __future__ import annotations
 
@@ -13,21 +15,12 @@ from typing import Iterator
 
 import numpy as np
 
-from ..validation import check_positive, store_int
+from ..validation import check_int, check_positive, store_int
 
-CORRUPTION_KINDS = ("gauss_noise", "feature_scale", "rotation", "mask")
-
-# spawn-key tags for the independent random streams
+# spawn-key tags for the independent random streams; their values fix every stream's bits
 _TAG_TASK = 0
-_TAG_DOMAIN = 1
 _TAG_BATCH = 2
 _TAG_SOURCE = 3
-
-# the rings task: class c lies on the shell of radius _RING_BASE + _RING_GAP * c,
-# blurred radially by _RING_STD
-_RING_BASE = 2.0
-_RING_GAP = 1.2
-_RING_STD = 0.25
 
 
 @dataclass(frozen=True)
@@ -37,8 +30,8 @@ class DomainSpec:
     batch_count: int
 
     def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise ValueError(f"unknown corruption kind: {self.kind!r}")
+        if self.kind != "feature_scale":
+            raise ValueError(f"unknown corruption kind: {self.kind!r}, expected 'feature_scale'")
         check_positive(self.severity, "severity")
         store_int(self, "batch_count")
 
@@ -57,8 +50,8 @@ class StreamConfig:
     blob_center: float = 0.0  # distance of the constellation center from the origin
 
     def __post_init__(self):
-        if self.base_task not in ("blobs8", "rings"):
-            raise ValueError(f"unknown base task: {self.base_task!r}")
+        if self.base_task != "blobs8":
+            raise ValueError(f"unknown base task: {self.base_task!r}, expected 'blobs8'")
         if not self.domain_sequence:
             raise ValueError("domain_sequence is empty")
         store_int(self, "in_dim")
@@ -97,14 +90,24 @@ def parse_domain_sequence(text: str) -> tuple[DomainSpec, ...]:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise ValueError(f"bad domain spec {part!r}, expected kind:severity:count")
-        specs.append(DomainSpec(pieces[0], float(pieces[1]), int(pieces[2])))
+        try:
+            specs.append(DomainSpec(pieces[0], float(pieces[1]), int(pieces[2])))
+        except ValueError as exc:
+            raise ValueError(f"bad domain spec {part!r}: {exc}") from exc
     if not specs:
         raise ValueError("domain sequence is empty")
     return tuple(specs)
 
 
+def _format_severity(severity: float) -> str:
+    """``:g`` where that is exact, the form existing fingerprints hash; else the exact repr."""
+    short = f"{severity:g}"
+    return short if float(short) == severity else repr(float(severity))
+
+
 def format_domain_sequence(seq: tuple[DomainSpec, ...]) -> str:
-    return ",".join(f"{d.kind}:{d.severity:g}:{d.batch_count}" for d in seq)
+    """Inverse of ``parse_domain_sequence``: parsing the text gives ``seq`` back."""
+    return ",".join(f"{d.kind}:{_format_severity(d.severity)}:{d.batch_count}" for d in seq)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -132,64 +135,23 @@ def _task_centers(cfg: StreamConfig) -> np.ndarray:
 
 def _sample_clean(cfg: StreamConfig, rng: np.random.Generator, n: int, centers):
     labels = rng.integers(0, cfg.class_count, size=n)
-    if cfg.base_task == "blobs8":
-        X = centers[labels] + cfg.blob_std * rng.standard_normal((n, cfg.in_dim))
-    else:  # rings: concentric shells, one radius band per class
-        direction = rng.standard_normal((n, cfg.in_dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = _RING_BASE + _RING_GAP * labels + _RING_STD * rng.standard_normal(n)
-        X = direction * radii[:, None]
+    X = centers[labels] + cfg.blob_std * rng.standard_normal((n, cfg.in_dim))
     return X, labels
-
-
-class _CorruptionOp:
-    """Domain-level corruption with parameters fixed once per domain position."""
-
-    def __init__(self, cfg: StreamConfig, seq_index: int, spec: DomainSpec):
-        self.spec = spec
-        n = cfg.in_dim
-        rng = _rng(cfg.seed, _TAG_DOMAIN, seq_index)
-        if spec.kind == "feature_scale":
-            # alternating stretch/shrink; severity 1.0 is the identity
-            exponents = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-            self.scale = spec.severity**exponents
-        elif spec.kind == "rotation":
-            # plane rotations by `severity` radians on consecutive coordinate pairs
-            rot = np.eye(n)
-            c, s = np.cos(spec.severity), np.sin(spec.severity)
-            for j in range(0, n - 1, 2):
-                rot[j, j], rot[j, j + 1] = c, -s
-                rot[j + 1, j], rot[j + 1, j + 1] = s, c
-            self.rotation = rot
-        elif spec.kind == "mask":
-            count = min(n, max(1, int(round(spec.severity * n))))
-            self.masked = rng.choice(n, size=count, replace=False)
-
-    def apply(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        kind = self.spec.kind
-        if kind == "gauss_noise":
-            return X + self.spec.severity * rng.standard_normal(X.shape)
-        if kind == "feature_scale":
-            return X * self.scale
-        if kind == "rotation":
-            return X @ self.rotation.T
-        out = X.copy()
-        out[:, self.masked] = 0.0
-        return out
 
 
 def generate_stream(cfg: StreamConfig) -> Iterator[StreamBatch]:
     """Yield the full stream in temporal order, deterministically from the seed."""
     centers = _task_centers(cfg)
-    ops = [_CorruptionOp(cfg, si, spec) for si, spec in enumerate(cfg.domain_sequence)]
+    # alternating stretch/shrink, fixed per domain position; severity 1.0 is the identity
+    exponents = np.where(np.arange(cfg.in_dim) % 2 == 0, 1.0, -1.0)
+    scales = [spec.severity**exponents for spec in cfg.domain_sequence]
     index = 0
     for round_idx in range(cfg.rounds):
         for seq_index, spec in enumerate(cfg.domain_sequence):
-            op = ops[seq_index]
             for b in range(spec.batch_count):
                 rng = _rng(cfg.seed, _TAG_BATCH, round_idx, seq_index, b)
                 X, labels = _sample_clean(cfg, rng, cfg.batch_size, centers)
-                X = op.apply(X, rng)
+                X = X * scales[seq_index]
                 yield StreamBatch(features=X, labels=labels, domain_id=seq_index, index=index)
                 index += 1
 
@@ -198,7 +160,8 @@ def make_source_batches(
     cfg: StreamConfig, n_samples: int, batch_size: int | None = None, tag: int = 0
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Clean in-distribution batches (features, labels) for training and statistics."""
-    batch_size = batch_size or cfg.batch_size
+    check_int(n_samples, "n_samples")
+    batch_size = cfg.batch_size if batch_size is None else check_int(batch_size, "batch_size")
     centers = _task_centers(cfg)
     batches = []
     remaining = n_samples

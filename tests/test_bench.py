@@ -41,7 +41,7 @@ class TestRunConfig:
             seed = 7
             epsilon = 0.08   # inline comment
             gamma = auto
-            domain_sequence = feature_scale:2:5,mask:0.5:5
+            domain_sequence = feature_scale:2:5,feature_scale:0.5:5
             batch_size = 32
             """
         )
@@ -77,6 +77,10 @@ class TestRunConfig:
         assert a.stream_fingerprint() == b.stream_fingerprint()
         assert a.stream_fingerprint() != c.stream_fingerprint()
         assert a.stream_fingerprint() != d.stream_fingerprint()
+        # a severity that 6 significant digits round to 1 is still another stream
+        e = RunConfig(domain_sequence="feature_scale:1.0000001:5")
+        f = RunConfig(domain_sequence="feature_scale:1:5")
+        assert e.stream_fingerprint() != f.stream_fingerprint()
 
     def test_always_and_v1_presets_share_one_configuration(self):
         always = controller_config_for_method(RunConfig(method="pace-always"), gamma=0.1)
@@ -296,22 +300,21 @@ class TestSummarySchema:
             load_summary(path)
 
 
-class TestRingsTask:
-    def test_noadapt_runs_on_rings(self, standard_assets):
+class TestOtherShape:
+    def test_noadapt_runs_at_three_features_and_four_classes(self, standard_assets):
         config, _, _, _ = standard_assets
-        rings = replace(
+        shape = replace(
             config,
             method="noadapt",
-            base_task="rings",
             in_dim=3,
             class_count=4,
-            domain_sequence="gauss_noise:0.3:4",
+            domain_sequence="feature_scale:1.3:4",
             train_samples=1024,
             train_epochs=15,
             source_samples=512,
             gamma=1.0,
         )
-        model, stats, gamma = prepare_assets(rings)
-        report = run_prepared(rings, model, stats, gamma)
+        model, stats, gamma = prepare_assets(shape)
+        report = run_prepared(shape, model, stats, gamma)
         assert report.overall_accuracy > 25.0  # above chance for 4 classes
         assert len(report.batches) == 4

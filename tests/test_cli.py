@@ -103,13 +103,25 @@ class TestRunCommand:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["dim = abc", "epsilon = 0.1.2"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "dim = abc",
+            "epsilon = 0.1.2",
+            "domain_sequence = feature_scale:abc:5",
+            "domain_sequence = feature_scale:2:2.5",
+            "domain_sequence = mask:0.5:5",
+        ],
+    )
     def test_unparsable_value_is_config_error_naming_its_key(self, tmp_path, capsys, line):
         path = tmp_path / "unparsable.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
         code = main(["run", "--config", str(path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]}: ")
+        if line.startswith("domain_sequence"):  # and the spec that failed
+            assert repr(line.split()[-1]) in err
 
     @pytest.mark.parametrize("warmup", [0, -1])
     def test_calibration_warmup_below_one_is_config_error(self, tmp_path, capsys, warmup):

@@ -21,7 +21,7 @@ def test_length_check_of_zero_dimensional_input_names_its_shape():
 
 
 def _stream(**overrides):
-    return StreamConfig(domain_sequence=(DomainSpec("mask", 0.5, 1),), **overrides)
+    return StreamConfig(domain_sequence=(DomainSpec("feature_scale", 0.5, 1),), **overrides)
 
 
 # every count setting: (its name, its minimum, a call that sets it to ``value``)
@@ -47,7 +47,9 @@ COUNTS = {
     "FastfoodProjector.D": ("D", 1, lambda value: FastfoodProjector(d=4, D=value)),
     "VectorBank.dim": ("dim", 1, lambda value: VectorBank(value)),
     "VectorBank.capacity": ("capacity", 0, lambda value: VectorBank(4, capacity=value)),
-    "DomainSpec.batch_count": ("batch_count", 1, lambda value: DomainSpec("mask", 0.5, value)),
+    "DomainSpec.batch_count": (
+        "batch_count", 1, lambda value: DomainSpec("feature_scale", 0.5, value)
+    ),
     "StreamConfig.in_dim": ("in_dim", 1, lambda value: _stream(in_dim=value)),
     "StreamConfig.class_count": ("class_count", 2, lambda value: _stream(class_count=value)),
     "StreamConfig.batch_size": ("batch_size", 1, lambda value: _stream(batch_size=value)),

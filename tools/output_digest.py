@@ -26,7 +26,11 @@ The inputs are fixed and there are no options.  The components:
   population forward of that ``wide-adapt`` model on a fixed batch: the shape
   whose population forward runs in chunks on more than one usable CPU, so
   equal lines under ``taskset -c 0`` and on more CPUs mean the chunks move
-  no bit.
+  no bit;
+* ``stream`` -- the stream fingerprint and every batch's features, labels,
+  domain id and index, for ``RunConfig(seed=0..4)``, sub-stream 0 of the
+  ``recurring-toy`` and ``wide-adapt`` workloads, and a stream of severity
+  1.0000001, which six significant digits would round to 1.
 
 It reads only the public program API and the benchmark's workload table, so
 the same file runs on any checkout that has them.  About 90 s on a 2-CPU x86
@@ -124,12 +128,20 @@ def main() -> int:
     digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
     for name in (
         "run_prepared", "run_dir", "transform", "cmaes", "weights", "source_stats", "gamma",
-        "forward.wide",
+        "forward.wide", "stream",
     ):
         digests[name] = hashlib.sha256()
 
     asset_configs = [RunConfig(seed=s) for s in SEEDS]
     asset_configs.append(WORKLOADS["wide-adapt"].configs(0, 30)[0])
+    stream_configs = asset_configs + [
+        WORKLOADS["recurring-toy"].configs(0, 30)[0],
+        RunConfig(domain_sequence="feature_scale:1.0000001:5"),
+    ]
+    for config in stream_configs:
+        feed(digests["stream"], config.stream_fingerprint())
+        for batch in generate_stream(config.stream_config()):
+            feed(digests["stream"], batch)
     with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
         out = Path(tmp)
         for i, base in enumerate(asset_configs):
