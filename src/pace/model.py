@@ -59,15 +59,17 @@ calling thread alone.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally, in float64 on flat buffers of its own with per-layer views into
-them; adaptation itself never computes gradients.  Each training layer
-overwrites one new array with its affine, ReLU and skip connection, the
-backward pass writes each gradient into its view, and one Adam step updates
-the flat buffers in place, chunk by chunk: all bit-identical to the
-allocating expressions and per-weight update they replaced (``pretrain``).
+them; adaptation itself never computes gradients.  A ``pretrain`` call makes
+one workspace that every step's forward and backward overwrite, and the
+backward hands each run of layers to Adam as soon as it is done with their
+weights, so gradients take one run's memory, not the parameters': all
+bit-identical to the allocating expressions and the per-weight update after
+the whole backward that they replaced.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_array, check_batch, store_int
+from .validation import check_array, check_batch, check_int, store_int
 
 _LN_EPS = 1e-5
 _TRAIN_BATCH = 128  # pretraining minibatch size
@@ -176,18 +178,21 @@ def _moments(x):
     return mean[..., 0, :], np.add.reduce(squares, axis=-2, dtype=np.float64) / n
 
 
-def _normalize(z):
+def _normalize(z, inv_std, squares):
     """The training layer norm: normalize ``z`` over its last axis in place, leaving ``xhat``.
 
-    Returns ``inv_std``, which ``_backward`` reads.  The ufuncs and their order
-    are those of ``(z - mean) * (1 / sqrt(var + eps))``, so ``xhat`` is
-    bit-identical to it.
+    Writes ``inv_std`` (``z``'s shape with a last axis of 1), which ``_backward``
+    reads; ``squares``, of ``z``'s shape, holds ``z * z``, so nothing is
+    allocated.  The ufuncs and their order are those of
+    ``(z - mean) * (1 / sqrt(var + eps))``, so ``xhat`` is bit-identical to it.
     """
     n = z.shape[-1]
-    z -= np.add.reduce(z, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / n + _LN_EPS)
+    z -= np.divide(np.add.reduce(z, axis=-1, keepdims=True, out=inv_std), n, out=inv_std)
+    np.add.reduce(np.multiply(z, z, out=squares), axis=-1, keepdims=True, out=inv_std)
+    inv_std /= n
+    inv_std += _LN_EPS
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
     z *= inv_std
-    return inv_std
 
 
 def _serve_normalize(z):
@@ -512,50 +517,72 @@ def _flat_views(buffer: np.ndarray, shapes: dict) -> dict:
     return views
 
 
-def _forward_train(layers: list[Layer], w: dict, X: np.ndarray):
-    """Float64 forward pass over the weight dict ``w`` with cached intermediates (zero offsets).
+def _train_workspace(config: ArchitectureConfig, rows: int) -> dict:
+    """The arrays a pretraining step writes, made once at ``rows`` rows.
 
-    The cache is ``(h_in, relu_mask, xhat, inv_std)`` per layer, in layer
-    order, plus the activations that enter the head.  ``relu_mask`` marks
-    where the ReLU's input is positive, so where it passes the gradient; it
-    is None for a layer without ReLU.  The affine, the ReLU and the skip
-    connection overwrite one new array, by the ufuncs of
-    ``h + maximum(xhat * scale + bias, 0)``, so a layer caches its output,
-    ``xhat`` and the mask and nothing more.
+    A step of n <= ``rows`` rows writes the leading n rows of ``inputs``, the
+    minibatch; of ``out``, ``xhat``, ``inv_std`` and the ReLU ``mask``, one
+    per layer along the first axis; of the ``logits``; and of four
+    ``scratch`` arrays, the forward's squares and the backward's gradients.
     """
+    shape = (len(config.layers()), rows, config.width)
+    return {
+        "inputs": np.empty((rows, config.in_dim)), "out": np.empty(shape),
+        "xhat": np.empty(shape), "inv_std": np.empty((*shape[:2], 1)), "mask": np.empty(shape, bool),
+        "logits": np.empty((rows, config.class_count)), "scratch": np.empty((4, *shape[1:])),
+    }
+
+
+def _forward_train(layers: list[Layer], w: dict, X: np.ndarray, workspace: dict):
+    """Float64 forward pass over the weight dict ``w`` into ``workspace`` (zero offsets).
+
+    Returns the logits and the cache, views of the workspace's leading
+    ``len(X)`` rows.  The cache is ``(h_in, relu_mask, xhat, inv_std)`` per
+    layer, in layer order, the activations that enter the head, and the
+    scratch ``_backward`` writes.  ``relu_mask`` marks where the ReLU's input
+    is positive, so where it passes the gradient.  Every array is written by
+    the ``out=`` forms of the ufuncs of ``h @ W + b`` and ``h + maximum(xhat
+    * scale + bias, 0)``, in their order, so bit-identical to those.
+    """
+    n = len(X)
+    scratch = workspace["scratch"][:, :n]
     per_layer = []
     h = X
-    for layer in layers:
+    for i, layer in enumerate(layers):
         name = layer.name
-        xhat = _linear(h, w[f"{name}.w"], w[f"{name}.b"])
-        inv_std = _normalize(xhat)
-        out = xhat * w[f"{name}.ln_scale"]  # a new array: backward reads xhat
+        out, xhat, inv_std = (workspace[key][i, :n] for key in ("out", "xhat", "inv_std"))
+        np.matmul(h, w[f"{name}.w"], out=xhat)
+        xhat += w[f"{name}.b"]
+        _normalize(xhat, inv_std, scratch[0])
+        np.multiply(xhat, w[f"{name}.ln_scale"], out=out)
         out += w[f"{name}.ln_bias"]
         mask = None
         if layer.relu:
-            mask = out > 0
+            mask = np.greater(out, 0, out=workspace["mask"][i, :n])
             np.maximum(out, 0.0, out=out)
         if layer.skip:
             out += h  # IEEE addition commutes, so bitwise equal to h + out
         per_layer.append((h, mask, xhat, inv_std))
         h = out
-    logits = _linear(h, w["head.w"], w["head.b"])
-    return logits, (per_layer, h)
+    logits = np.matmul(h, w["head.w"], out=workspace["logits"][:n])
+    logits += w["head.b"]
+    return logits, (per_layer, h, scratch)
 
 
-def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias):
-    """The layer norm's input gradient; writes its scale and bias gradients into the last two.
+def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias, product, d_xhat):
+    """The layer norm's input gradient, in ``d_xhat``; writes its scale and bias gradients.
 
-    The ufuncs and their order are those of ``inv_std * (d_xhat - mean(d_xhat)
-    - xhat * mean(d_xhat * xhat))`` with ``d_xhat = d_out * scale``, each mean
-    ``np.add.reduce(...) / n`` as ``np.mean`` takes it, so the result is
-    bit-identical to that expression.  ``d_out`` is left untouched.
+    ``product`` is scratch of ``xhat``'s shape.  The ufuncs and their order
+    are those of ``inv_std * (d_xhat - mean(d_xhat) - xhat * mean(d_xhat *
+    xhat))`` with ``d_xhat = d_out * scale``, each mean ``np.add.reduce(...) /
+    n`` as ``np.mean`` takes it, so the result is bit-identical to that
+    expression.  ``d_out`` is left untouched.
     """
     n = xhat.shape[1]
-    product = d_out * xhat
+    np.multiply(d_out, xhat, out=product)
     np.add.reduce(product, axis=0, out=d_scale)
     np.add.reduce(d_out, axis=0, out=d_bias)
-    d_xhat = d_out * scale
+    np.multiply(d_out, scale, out=d_xhat)
     np.multiply(d_xhat, xhat, out=product)
     mean_d_xhat = np.add.reduce(d_xhat, axis=1, keepdims=True) / n
     np.multiply(xhat, np.add.reduce(product, axis=1, keepdims=True) / n, out=product)
@@ -565,44 +592,50 @@ def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias):
     return d_xhat
 
 
-def _backward(layers: list[Layer], w: dict, cache, d_logits: np.ndarray, grads: dict):
+def _backward(layers: list[Layer], w: dict, cache, d_logits, grads: dict, finished=lambda i: None):
     """Write the gradient of every weight in ``w`` into the same key of ``grads``.
 
     ``cache`` is ``_forward_train``'s and ``d_logits`` the logit gradient.
-    Each gradient is written by ``np.matmul(h.T, d, out=)`` or
-    ``np.add.reduce(d, axis=0, out=)``, the calls of ``h.T @ d`` and
-    ``d.sum(axis=0)``, so bit-identical to them.
+    It calls ``finished(i)`` once it has written the gradients of part ``i``
+    (a layer's index, ``len(layers)`` for the head, from the head down) and
+    read its weights for the last time: after ``d_logits @ W.T`` for the
+    head, ``d_z @ W.T`` for a layer.  Each gradient is written by
+    ``np.matmul(h.T, d, out=)`` or ``np.add.reduce(d, axis=0, out=)``, the
+    calls of ``h.T @ d`` and ``d.sum(axis=0)``, so bit-identical to them.
     """
-    per_layer, h = cache
+    per_layer, h, (d_h, spare, product, d_xhat) = cache
     np.matmul(h.T, d_logits, out=grads["head.w"])
     np.add.reduce(d_logits, axis=0, out=grads["head.b"])
-    d_h = d_logits @ w["head.w"].T
-    for layer, (h_in, mask, xhat, inv_std) in zip(reversed(layers), reversed(per_layer)):
-        name = layer.name
-        d_n = d_h * mask if layer.relu else d_h
+    np.matmul(d_logits, w["head.w"].T, out=d_h)
+    finished(len(layers))
+    for i in reversed(range(len(layers))):
+        name = layers[i].name
+        h_in, mask, xhat, inv_std = per_layer[i]
+        d_n = np.multiply(d_h, mask, out=spare) if layers[i].relu else d_h
         d_z = _layer_norm_backward(
             d_n, xhat, inv_std, w[f"{name}.ln_scale"],
-            grads[f"{name}.ln_scale"], grads[f"{name}.ln_bias"],
+            grads[f"{name}.ln_scale"], grads[f"{name}.ln_bias"], product, d_xhat,
         )
         np.matmul(h_in.T, d_z, out=grads[f"{name}.w"])
         np.add.reduce(d_z, axis=0, out=grads[f"{name}.b"])
-        if layer is layers[0]:
-            break  # no gradient of the input batch is needed
-        d_in = d_z @ w[f"{name}.w"].T
-        if layer.skip:
-            d_in += d_h  # IEEE addition commutes, so bitwise equal to d_h + d_in
-        d_h = d_in
+        if i > 0:  # no gradient of the input batch is needed
+            np.matmul(d_z, w[f"{name}.w"].T, out=spare)
+            if layers[i].skip:
+                spare += d_h  # IEEE addition commutes, so bitwise equal to d_h + d_in
+            d_h, spare = spare, d_h
+        finished(i)
 
 
 def _adam_step(weights, grads, moments, step: int, scratch: np.ndarray):
-    """Adam step ``step`` (from 1) in place on the flat buffers, ``_ADAM_CHUNK`` elements at a time.
+    """Adam step ``step`` (from 1) in place on flat slices, ``_ADAM_CHUNK`` elements at a time.
 
-    ``moments`` holds the first and second moment ``m`` and ``v`` as its two
-    rows.  Per chunk the ufuncs of ``m = m*beta1 + g*(1-beta1)``,
-    ``v = v*beta2 + (g*(1-beta2))*g`` and ``w -= lr*(m/c1) / (sqrt(v/c2)+eps)``
-    run in that order, so every weight is bit-identical to the allocating
-    update of each weight array on its own.  The two rows of ``scratch`` hold
-    the temporaries: two chunk-sized arrays, not two parameter-sized ones.
+    The slices are one run (``_train``); ``moments`` holds its first and
+    second moment ``m`` and ``v`` as its two rows.  Per chunk the ufuncs of
+    ``m = m*beta1 + g*(1-beta1)``, ``v = v*beta2 + (g*(1-beta2))*g`` and
+    ``w -= lr*(m/c1) / (sqrt(v/c2)+eps)`` run in that order; Adam is
+    elementwise, so every weight is bit-identical to the allocating update of
+    each weight array on its own, whatever the runs and chunks.  The two rows
+    of ``scratch`` hold the temporaries: two chunk-sized arrays.
     """
     c1 = 1 - _ADAM_BETA1**step
     c2 = 1 - _ADAM_BETA2**step
@@ -652,51 +685,75 @@ def pretrain(
 ) -> AdaptableModel:
     """Train base weights on labeled source data with Adam; deterministic per seed.
 
-    Training runs in float64 on three flat buffers: the weights, the
-    gradients and the two Adam moments.  The per-layer weight and gradient
-    dicts that ``_forward_train`` and ``_backward`` use are reshaped views into
-    the first two.  ``_backward`` writes each gradient into its view, and one
-    chunked Adam pass (``_adam_step``) updates every weight, bit for bit as
-    the allocating update of each weight array on its own would.  The weights
-    are cast into the model's serving precision once, at the end.  ``y`` must
-    hold integral class indices; a fractional or non-finite label is refused,
-    not truncated.
+    Training runs in float64 on one flat buffer of weights (``_train``),
+    which the model casts into its serving precision once, at the end.
+    ``y`` must hold integral class indices; a fractional or non-finite label
+    is refused, not truncated.
     """
+    seed = check_int(seed, "seed", minimum=0)
+    epochs = check_int(epochs, "epochs", minimum=0)
     X = check_batch(X, "X", width=config.in_dim)
     y = _check_labels(y, X.shape[0], config.class_count)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(101,))))
-    layers = config.layers()
     initial = _init_weights(config, rng)
     shapes = {key: arr.shape for key, arr in initial.items()}
     flat_weights = np.concatenate([arr.ravel() for arr in initial.values()])
     del initial
-    flat_grads = np.empty_like(flat_weights)
-    moments = np.zeros((2, flat_weights.size))
-    scratch = np.empty((2, min(flat_weights.size, _ADAM_CHUNK)))
-    weights = _flat_views(flat_weights, shapes)
-    grads = _flat_views(flat_grads, shapes)
+    _train(config, flat_weights, shapes, X, np.eye(config.class_count)[y], rng, epochs)
+    return AdaptableModel(config, _flat_views(flat_weights, shapes))
 
-    onehot = np.eye(config.class_count)[y]
+
+def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rng, epochs: int):
+    """``epochs`` of minibatch Adam in place on ``flat_weights``, laid out as ``shapes``.
+
+    The layers come in list order, then the head.  Beside the weights, the
+    call holds the two Adam moments, one ``_train_workspace`` that every step
+    overwrites and gradients for one run, all freed on return, before the
+    model copies the weights.  A run is the parts the backward finishes in a
+    row (the head, then layers from the last) until they hold
+    ``_ADAM_CHUNK`` parameters, or the first layer is done; ``_adam_step``
+    updates it then, after the step's last read of its weights and from the
+    same gradient bits, so every weight is bit-identical to an update after
+    the whole backward.
+    """
+    layers = config.layers()
+    weights = _flat_views(flat_weights, shapes)
+    starts = dict(zip(shapes, itertools.accumulate(map(math.prod, shapes.values()), initial=0)))
+    parts = [layer.name for layer in layers] + ["head"]  # in flat order; the backward's reversed
+    runs, hi = {}, flat_weights.size  # the part that closes a run -> the run's flat range
+    for i in reversed(range(len(parts))):
+        lo = starts[f"{parts[i]}.w"]
+        if hi - lo >= _ADAM_CHUNK or i == 0:
+            runs[i], hi = (lo, hi), lo
+    # each its own array: one buffer for all of them, freed, raised glibc's
+    # trim threshold, and each later set-up then left ~16 MB in the heap
+    flat_grads = np.empty(max(hi - lo for lo, hi in runs.values()))
+    moments = np.zeros((2, flat_weights.size))
+    scratch = np.empty((2, min(flat_grads.size, _ADAM_CHUNK)))
+    workspace = _train_workspace(config, min(len(X), _TRAIN_BATCH))
+    grads = {}
+    for lo, hi in runs.values():
+        grads |= _flat_views(flat_grads, {k: v for k, v in shapes.items() if lo <= starts[k] < hi})
+
+    def finished(i):
+        if i in runs:
+            lo, hi = runs[i]
+            _adam_step(flat_weights[lo:hi], flat_grads[: hi - lo], moments[:, lo:hi], step, scratch)
+
     step = 0
-    n_samples = X.shape[0]
     for _ in range(epochs):
-        order = rng.permutation(n_samples)
-        for lo in range(0, n_samples, _TRAIN_BATCH):
+        order = rng.permutation(len(X))
+        for lo in range(0, len(X), _TRAIN_BATCH):
             idx = order[lo : lo + _TRAIN_BATCH]
-            # the last cache is freed only as this one is bound: freed before,
-            # its pages went back to the OS and faulted in again every step
-            logits, cache = _forward_train(layers, weights, X[idx])
-            d_logits = _softmax(logits)  # a new array: (probs - onehot) / B in place
+            # mode "clip" never acts on a permutation; "raise" would copy through a buffer
+            batch = np.take(X, idx, axis=0, out=workspace["inputs"][: len(idx)], mode="clip")
+            logits, cache = _forward_train(layers, weights, batch, workspace)
+            d_logits = _softmax(logits)  # a new (B, C) array: (probs - onehot) / B in place
             d_logits -= onehot[idx]
             d_logits /= idx.shape[0]
-            _backward(layers, weights, cache, d_logits, grads)
             step += 1
-            _adam_step(flat_weights, flat_grads, moments, step, scratch)
-
-    # the model copies the weights into its own arrays; free the rest before that
-    del grads, flat_grads, moments, scratch
-    return AdaptableModel(config, weights)
+            _backward(layers, weights, cache, d_logits, grads, finished)
 
 
 class _RunningMoments:
