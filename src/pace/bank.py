@@ -1,11 +1,14 @@
-"""Bounded memory of archived search-distribution means from past domains.
+"""Bounded memory of search-distribution means, one entry per domain lineage.
 
-When the bank overflows its capacity, the entry with the highest mean
-pairwise cosine similarity to the rest is discarded (the newcomer included),
-keeping the stored vectors maximally diverse.  Retrieval evaluates the
-adaptation fitness of every stored vector on the current batch -- plus the
-zero vector, so a fresh start is always a candidate -- in one population
-forward pass and returns the argmin as the warm-start mean.
+Retrieval evaluates the adaptation fitness of every stored vector on the
+current batch -- plus the zero vector, so a fresh start is always a
+candidate -- in one population forward pass and returns the argmin as the
+warm-start mean, with the slot it came from.  An episode warm-started from
+slot j ends with ``write_back(j, mean)``, which overwrites that entry in
+place; only an episode started from the zero vector ends with ``archive``,
+which appends.  When an append overflows the capacity, the entry with the
+highest mean pairwise cosine similarity to the rest is discarded (the
+newcomer included), keeping the stored vectors maximally diverse.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ class RetrievalResult:
     vector: np.ndarray
     forward_passes: int
     fitnesses: list[float]
+    slot: int | None  # the winner's bank index; None when the zero vector wins
 
 
 def mean_pairwise_cosine(vectors: list[np.ndarray]) -> np.ndarray:
@@ -72,6 +76,20 @@ class VectorBank:
                 self.vectors.pop(drop)
         return self
 
+    def write_back(self, slot: int, m) -> "VectorBank":
+        """Overwrite entry ``slot`` with a copy of ``m``; never evicts.
+
+        ``m`` is checked as ``archive`` checks it, and ``slot`` must index a
+        stored entry; a refused call leaves the bank unchanged.  Returns the
+        bank for chaining.
+        """
+        m = check_array(m, "m", ndim=1, length=self.dim).copy()
+        slot = check_int(slot, "slot", minimum=0)
+        if slot >= self.count:
+            raise ValueError(f"slot must lie in [0, {self.count}), got {slot}")
+        self.vectors[slot] = m
+        return self
+
     def retrieve_init(
         self, batch, model, projector, source_stats, fitness_config: FitnessConfig
     ) -> RetrievalResult:
@@ -81,10 +99,11 @@ class VectorBank:
         population ``forward`` and one ``fitness`` call; each still counts as
         one logical forward pass in the reported count.  The zero vector comes
         first, so it wins ties and is returned when every candidate evaluates
-        non-finite (``fitness`` scores them all ``inf``).
+        non-finite (``fitness`` scores them all ``inf``); its ``slot`` is None.
         """
         candidates = [np.zeros(self.dim), *self.vectors]
         probs, stats = model.forward(projector.transform(np.stack(candidates)), batch)
         scores = fitness(probs, stats, source_stats, fitness_config)
         best = int(np.argmin(scores))
-        return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist())
+        slot = best - 1 if best else None  # candidate 0 is the zero vector
+        return RetrievalResult(candidates[best].copy(), len(candidates), scores.tolist(), slot)

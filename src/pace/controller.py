@@ -10,8 +10,15 @@ batch then costs one ``model.serve`` of those affines plus the shift
 detector, and is not scored, so its report's ``fitness_best`` is nan.  A
 frozen exponential moving average of stem-layer statistics is compared
 against each incoming batch via a symmetric KL score; when the score exceeds
-``gamma`` the current mean is archived to the vector bank, a warm start is
+``gamma`` the current mean is stored in the vector bank, a warm start is
 retrieved by fitness, the binding is dropped and adaptation resumes.
+
+The bank holds one entry per domain lineage: an episode warm-started from
+bank slot j writes its mean back to slot j at the next shift, and only an
+episode started from the zero vector archives a new entry.  So a domain that
+recurs refreshes its own entry instead of adding a near-copy.  A missed
+boundary folds two domains into one episode, and the shift that ends it
+overwrites the first domain's entry with a mean adapted to the second.
 """
 from __future__ import annotations
 
@@ -139,6 +146,7 @@ class Telemetry:
     retrieval_forwards: int = 0
     rescue_forwards: int = 0
     shifts_detected: int = 0
+    bank_writebacks: int = 0  # shifts that wrote back to a slot instead of archiving
     stops: int = 0
 
     def expected_forward_passes(self, population_size: int) -> int:
@@ -194,6 +202,7 @@ class PaceController:
             config.dim, tau0=config.tau0, population_size=config.population_size
         )
         self.bank = VectorBank(config.dim, config.bank_capacity)
+        self.bank_slot: int | None = None  # the slot this episode was warm-started from
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(7,)))
         )
@@ -254,15 +263,22 @@ class PaceController:
         return batch_stats, score, score > self.config.gamma
 
     def _shift(self, batch, batch_stats: EmaStats) -> int:
-        """Archive the mean, restart search and detector from the bank and the batch.
+        """Store the mean, restart search and detector from the bank and the batch.
 
-        Returns the forward passes the bank's retrieval cost.
+        The mean goes back to the slot this episode was warm-started from, or
+        is archived when it started from the zero vector.  Returns the forward
+        passes the bank's retrieval cost.
         """
         self.telemetry.shifts_detected += 1
-        self.bank.archive(self.cmaes_state.mean)
+        if self.bank_slot is None:
+            self.bank.archive(self.cmaes_state.mean)
+        else:
+            self.bank.write_back(self.bank_slot, self.cmaes_state.mean)
+            self.telemetry.bank_writebacks += 1
         result = self.bank.retrieve_init(
             batch, self.model, self.projector, self.source_stats, self.fitness_config
         )
+        self.bank_slot = result.slot
         self.telemetry.retrieval_forwards += result.forward_passes
         self.cmaes_state = cmaes.reinitialized(self.cmaes_state, result.vector, self.config.tau0)
         self.frozen_offset = None

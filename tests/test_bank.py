@@ -123,6 +123,63 @@ class TestArchive:
             bank.archive([1.0, np.nan, 0.0])
 
 
+class TestWriteBack:
+    def _bank(self):
+        bank = VectorBank(3, capacity=4)
+        for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+            bank.archive(v)
+        return bank
+
+    def test_replaces_the_slot_in_place_with_a_copy(self):
+        bank = self._bank()
+        before = [v.copy() for v in bank.vectors]
+        m = np.array([0.5, -2.0, 3.0])
+        assert bank.write_back(1, m) is bank
+        assert bank.count == 3
+        np.testing.assert_array_equal(bank.vectors[1], m)
+        m[0] = 9.0  # the bank holds its own copy
+        assert bank.vectors[1][0] == 0.5
+        for j in (0, 2):
+            np.testing.assert_array_equal(bank.vectors[j], before[j])
+
+    def test_a_full_bank_never_evicts_on_write_back(self):
+        bank = VectorBank(2, capacity=2)
+        bank.archive([1.0, 0.0])
+        bank.archive([0.0, 1.0])
+        bank.write_back(0, [0.0, 1.0])  # a duplicate that archive would evict
+        assert bank.count == 2
+        np.testing.assert_array_equal(bank.vectors, [[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "slot, m",
+        [
+            (-1, [1.0, 1.0, 1.0]),
+            (3, [1.0, 1.0, 1.0]),
+            (1.0, [1.0, 1.0, 1.0]),
+            (None, [1.0, 1.0, 1.0]),
+            (0, [1.0, 1.0]),
+            (0, [[1.0, 1.0, 1.0]]),
+            (0, [1.0, np.nan, 1.0]),
+            (0, [np.inf, 1.0, 1.0]),
+        ],
+        ids=["negative", "count", "float", "none", "short", "2-d", "nan", "inf"],
+    )
+    def test_refusal_leaves_the_bank_unchanged(self, slot, m):
+        bank = self._bank()
+        before = [v.copy() for v in bank.vectors]
+        with pytest.raises(ValueError):
+            bank.write_back(slot, m)
+        assert bank.count == 3
+        for v, w in zip(bank.vectors, before):
+            np.testing.assert_array_equal(v, w)
+
+    def test_an_empty_bank_has_no_slot(self):
+        bank = VectorBank(2, capacity=3)
+        with pytest.raises(ValueError):
+            bank.write_back(0, [1.0, 1.0])
+        assert bank.count == 0
+
+
 class TestMeanPairwiseCosine:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -145,6 +202,7 @@ class TestRetrieveInit:
         result = bank.retrieve_init(batch, model, proj, stats, FitnessConfig(0.4))
         np.testing.assert_array_equal(result.vector, np.zeros(8))
         assert result.forward_passes == 1  # the fresh-start candidate
+        assert result.slot is None
 
     def test_returns_fitness_argmin_with_zero_candidate(self, tiny_setup):
         _, model, stats = tiny_setup
@@ -164,6 +222,7 @@ class TestRetrieveInit:
         best = int(np.argmin(oracle))
         np.testing.assert_array_equal(result.vector, candidates[best])
         np.testing.assert_allclose(result.fitnesses, oracle, atol=1e-12)
+        assert result.slot == (best - 1 if best else None)
 
     def test_degrading_vector_loses_to_fresh_start(self, tiny_setup):
         _, model, stats = tiny_setup
@@ -174,6 +233,7 @@ class TestRetrieveInit:
         result = bank.retrieve_init(batch, model, proj, stats, FitnessConfig(0.4))
         np.testing.assert_array_equal(result.vector, np.zeros(8))
         assert result.fitnesses[0] <= result.fitnesses[1]
+        assert result.slot is None
 
     def test_all_non_finite_falls_back_to_zero_with_flag(self, tiny_setup, monkeypatch):
         # every candidate, the zero vector included, scores inf: the zero
@@ -190,4 +250,21 @@ class TestRetrieveInit:
         np.testing.assert_array_equal(result.vector, np.zeros(8))
         assert result.forward_passes == 2
         assert result.fitnesses == [np.inf, np.inf]
+        assert result.slot is None
+
+    def test_slot_indexes_the_winning_entry(self, tiny_setup, monkeypatch):
+        # fitness ranks candidate 2, the bank's second entry, first
+        _, model, stats = tiny_setup
+        proj = FastfoodProjector(8, model.offset_dim, seed=0)
+        bank = VectorBank(8, capacity=4)
+        for value in (0.1, 0.2, 0.3):
+            bank.archive(np.full(8, value))
+        monkeypatch.setattr(
+            pace.bank, "fitness", lambda probs, *args: np.array([1.0, 2.0, 0.5, 3.0])
+        )
+        batch = np.random.default_rng(4).standard_normal((8, 2))
+        result = bank.retrieve_init(batch, model, proj, stats, FitnessConfig(0.4))
+        assert result.slot == 1
+        np.testing.assert_array_equal(result.vector, bank.vectors[1])
+        assert result.vector is not bank.vectors[1]
 

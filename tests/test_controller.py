@@ -634,3 +634,194 @@ class TestDegenerateSampling:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             ControllerConfig(epsilon=-0.1)
+
+
+# two domains the detector tells apart at every boundary of a seed-3 stream
+DOMAIN_A, DOMAIN_B = DomainSpec("feature_scale", 1.8, 60), DomainSpec("feature_scale", 0.4, 60)
+
+
+def _serve_recording_shifts(controller, stream_cfg):
+    """Serve the stream with a fresh controller; record the bank and search mean before each shift.
+
+    ``slot_after`` is the slot the shift's retrieval returned, and
+    ``slot_before`` the one the previous shift's retrieval returned: the slot
+    the ending episode was warm-started from.
+    """
+    retrieve, retrievals = controller.bank.retrieve_init, []
+
+    def recorded_retrieve(*args):
+        retrievals.append(retrieve(*args))
+        return retrievals[-1]
+
+    controller.bank.retrieve_init = recorded_retrieve
+    shifts = []
+    for batch in generate_stream(stream_cfg):
+        mean = controller.cmaes_state.mean.copy()
+        bank = [v.copy() for v in controller.bank.vectors]
+        writebacks = controller.telemetry.bank_writebacks
+        _, report = controller.process_batch(batch.features)
+        if report.shift_detected:
+            shifts.append(
+                dict(
+                    index=batch.index,
+                    slot_before=shifts[-1]["slot_after"] if shifts else None,
+                    mean_before=mean,
+                    bank_before=bank,
+                    wrote_back=controller.telemetry.bank_writebacks > writebacks,
+                    slot_after=retrievals[-1].slot,
+                )
+            )
+            assert controller.bank_slot == shifts[-1]["slot_after"]
+    return shifts
+
+
+class TestWriteBackBank:
+    """An episode warm-started from bank slot j ends by overwriting slot j.
+
+    Only an episode that started from the zero vector archives a new entry.
+    """
+
+    def test_recurring_two_domain_stream_keeps_two_entries(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        counts = []
+        for batch in generate_stream(_stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)):
+            controller.process_batch(batch.features)
+            counts.append(controller.bank.count)
+        # A's episode is archived at the first B batch and B's at the second A
+        # batch; from then on each shift writes back, so rounds 2 and 3 hold
+        # two entries throughout
+        assert counts[:60] == [0] * 60 and counts[60:120] == [1] * 60
+        assert counts[120:] == [2] * 240
+        telem = controller.telemetry
+        assert telem.shifts_detected == 5 and telem.bank_writebacks == 3
+
+    def test_each_shift_writes_back_to_its_episodes_slot_or_archives(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        shifts = _serve_recording_shifts(
+            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=13)
+        )
+        # at this seed the zero vector wins a retrieval after a write-back, so
+        # the episode it starts archives again
+        assert any(s["slot_before"] is not None and s["slot_after"] is None for s in shifts[:-1])
+        # the bank after a shift is the bank before the next one
+        banks_after = [s["bank_before"] for s in shifts[1:]] + [controller.bank.vectors]
+        for shift, after in zip(shifts, banks_after):
+            expected = list(shift["bank_before"])
+            if shift["slot_before"] is None:
+                assert not shift["wrote_back"]
+                expected.append(shift["mean_before"])  # capacity 5: no eviction
+            else:
+                assert shift["wrote_back"]
+                expected[shift["slot_before"]] = shift["mean_before"]
+            np.testing.assert_array_equal(after, expected)
+
+    def test_false_shift_writes_back_the_same_domains_mean(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        specs = [DOMAIN_A, DOMAIN_B, replace(DOMAIN_A, batch_count=61)]
+        batches = list(generate_stream(_stream_config(specs, seed=3)))
+        for batch in batches[:-1]:
+            controller.process_batch(batch.features)
+        # the third episode was warm-started from A's entry at batch 120 and froze
+        assert controller.mode == FROZEN and controller.bank_slot == 0
+        a_entry, b_entry = (v.copy() for v in controller.bank.vectors)
+        mean = controller.cmaes_state.mean.copy()
+        # a threshold below any score makes the detector fire inside domain A
+        controller.config = replace(config, gamma=1e-12)
+        _, report = controller.process_batch(batches[-1].features)
+        assert report.shift_detected
+        assert controller.telemetry.bank_writebacks == 1 and controller.bank.count == 2
+        np.testing.assert_array_equal(controller.bank.vectors[0], mean)
+        np.testing.assert_array_equal(controller.bank.vectors[1], b_entry)
+        assert not np.array_equal(mean, a_entry)
+        # A's refreshed entry still wins the retrieval on an A batch
+        assert controller.bank_slot == 0
+
+    def test_missed_boundary_overwrites_the_first_domains_slot(self, adapted_setup):
+        # Pinned behaviour: a boundary reached while adapting is not acted on,
+        # so B and C share one episode, and the shift that ends it writes the
+        # mean adapted to C over B's entry.
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        specs = [
+            DOMAIN_A,
+            DOMAIN_B,
+            DOMAIN_A,
+            replace(DOMAIN_B, batch_count=1),
+            DomainSpec("feature_scale", 0.7, 60),
+            replace(DOMAIN_A, batch_count=1),
+        ]
+        shifts = _serve_recording_shifts(controller, _stream_config(specs, seed=3))
+        # batch 180 (B) writes A's episode back and retrieves B's entry; batch
+        # 181, the first of C, finds the controller adapting and is not a shift
+        assert [s["index"] for s in shifts] == [60, 120, 180, 241]
+        assert shifts[2]["slot_after"] == 1 and shifts[3]["slot_before"] == 1
+        b_entry = shifts[3]["bank_before"][1]
+        np.testing.assert_array_equal(b_entry, shifts[1]["mean_before"])
+        assert shifts[3]["wrote_back"]
+        np.testing.assert_array_equal(controller.bank.vectors[1], shifts[3]["mean_before"])
+        assert not any(np.array_equal(v, b_entry) for v in controller.bank.vectors)
+        assert controller.bank.count == 2
+
+    def test_write_back_after_an_evicting_archive_lands_on_the_retrieved_slot(
+        self, adapted_setup
+    ):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, replace(config, bank_capacity=3))
+        # two near-duplicate entries that lose every retrieval: the first
+        # archive past capacity evicts one of them and moves A's entry down
+        junk = np.full(config.dim, 50.0)
+        controller.bank.archive(junk).archive(np.r_[49.0, junk[1:]])
+        specs = [DOMAIN_A, DOMAIN_B, DOMAIN_A, replace(DOMAIN_B, batch_count=1)]
+        shifts = _serve_recording_shifts(controller, _stream_config(specs, seed=3))
+        assert [s["index"] for s in shifts] == [60, 120, 180]
+        evicting, writing = shifts[1], shifts[2]
+        assert evicting["slot_before"] is None and len(evicting["bank_before"]) == 3
+        assert len(writing["bank_before"]) == 3  # the archive evicted an entry
+        # A's entry, archived at batch 60 into the third slot, is second after
+        # the eviction, and that is the slot the retrieval returned
+        a_entry = evicting["bank_before"][2]
+        np.testing.assert_array_equal(writing["bank_before"][1], a_entry)
+        assert evicting["slot_after"] == writing["slot_before"] == 1
+        assert writing["wrote_back"]
+        expected = list(writing["bank_before"])
+        expected[1] = writing["mean_before"]
+        np.testing.assert_array_equal(controller.bank.vectors, expected)
+
+    def test_zero_capacity_never_writes_back(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, replace(config, bank_capacity=0))
+        shifts = _serve_recording_shifts(
+            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)
+        )
+        assert len(shifts) >= 5
+        assert not any(s["wrote_back"] or s["slot_after"] is not None for s in shifts)
+        assert controller.telemetry.bank_writebacks == 0 and controller.bank.count == 0
+
+    def test_every_shift_archives_or_writes_back_on_the_8_round_stream(self, standard_assets):
+        config, model, stats, gamma = standard_assets
+        config = replace(config, rounds=8)
+        controller = PaceController(model, stats, controller_config_for_method(config, gamma))
+        archive, retrieve = controller.bank.archive, controller.bank.retrieve_init
+        archives, candidates = [], []
+        controller.bank.archive = lambda m: archives.append(1) or archive(m)
+
+        def counted_retrieve(*args):
+            candidates.append(controller.bank.count + 1)
+            return retrieve(*args)
+
+        controller.bank.retrieve_init = counted_retrieve
+        for batch in generate_stream(config.stream_config()):
+            controller.process_batch(batch.features)
+        telem = controller.telemetry
+        assert telem.shifts_detected == len(archives) + telem.bank_writebacks
+        assert telem.bank_writebacks > len(archives) > 0
+        # each shift's retrieval scores the bank and the zero vector
+        assert telem.retrieval_forwards == sum(candidates)
+        assert len(candidates) == telem.shifts_detected
+        # an appending bank holds one entry per shift so far, up to capacity
+        appending = sum(min(k, config.bank_capacity) + 1 for k in range(1, len(candidates) + 1))
+        assert telem.retrieval_forwards <= 0.3 * appending
+        assert telem.identity_holds(controller.config.population_size)
