@@ -5,8 +5,9 @@ current batch -- plus the zero vector, so a fresh start is always a
 candidate -- in one population forward pass and returns the argmin as the
 warm-start mean, with the slot it came from.  An episode warm-started from
 slot j ends with ``write_back(j, mean)``, which overwrites that entry in
-place; only an episode started from the zero vector ends with ``archive``,
-which appends.  When an append overflows the capacity, the entry with the
+place; an episode started from the zero vector ends with ``archive``,
+which appends, and so does one that may span two domains (the controller's
+``shift_ignored``).  When an append overflows the capacity, the entry with the
 highest mean pairwise cosine similarity to the rest is discarded (the
 newcomer included), keeping the stored vectors maximally diverse.
 """

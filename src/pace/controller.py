@@ -14,11 +14,14 @@ against each incoming batch via a symmetric KL score; when the score exceeds
 retrieved by fitness, the binding is dropped and adaptation resumes.
 
 The bank holds one entry per domain lineage: an episode warm-started from
-bank slot j writes its mean back to slot j at the next shift, and only an
+bank slot j writes its mean back to slot j at the next shift, and an
 episode started from the zero vector archives a new entry.  So a domain that
-recurs refreshes its own entry instead of adding a near-copy.  A missed
-boundary folds two domains into one episode, and the shift that ends it
-overwrites the first domain's entry with a mean adapted to the second.
+recurs refreshes its own entry instead of adding a near-copy.  A boundary
+that arrives while adapting, without ``shift_while_adapting``, folds two
+domains into one episode; the detector still sees it, and the shift that
+ends that episode archives its mean, so the first domain's entry survives.
+A boundary that scores below ``gamma`` is not seen, and its episode's mean
+overwrites the first domain's entry.
 """
 from __future__ import annotations
 
@@ -203,6 +206,7 @@ class PaceController:
         )
         self.bank = VectorBank(config.dim, config.bank_capacity)
         self.bank_slot: int | None = None  # the slot this episode was warm-started from
+        self.shift_ignored = False  # this episode saw a shift while adapting, not acted on
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(7,)))
         )
@@ -265,12 +269,14 @@ class PaceController:
     def _shift(self, batch, batch_stats: EmaStats) -> int:
         """Store the mean, restart search and detector from the bank and the batch.
 
-        The mean goes back to the slot this episode was warm-started from, or
-        is archived when it started from the zero vector.  Returns the forward
-        passes the bank's retrieval cost.
+        The mean goes back to the slot this episode was warm-started from.  It
+        is archived when the episode started from the zero vector, or when it
+        ignored a shift while adapting: then it may span two domains, and
+        writing it back would overwrite the first one's entry.  Returns the
+        forward passes the bank's retrieval cost.
         """
         self.telemetry.shifts_detected += 1
-        if self.bank_slot is None:
+        if self.bank_slot is None or self.shift_ignored:
             self.bank.archive(self.cmaes_state.mean)
         else:
             self.bank.write_back(self.bank_slot, self.cmaes_state.mean)
@@ -279,6 +285,7 @@ class PaceController:
             batch, self.model, self.projector, self.source_stats, self.fitness_config
         )
         self.bank_slot = result.slot
+        self.shift_ignored = False
         self.telemetry.retrieval_forwards += result.forward_passes
         self.cmaes_state = cmaes.reinitialized(self.cmaes_state, result.vector, self.config.tau0)
         self.frozen_offset = None
@@ -308,6 +315,7 @@ class PaceController:
         best = int(np.argmin(scores))
         predictions = probs[best].copy()  # a view would keep all K candidates alive
         batch_stats, score, shift = self._detect(stats.stem_mean, stats.stem_var)
+        self.shift_ignored |= shift and not cfg.shift_while_adapting
         shift = shift and cfg.shift_while_adapting
         rel_change = np.nan
         if shift:

@@ -645,7 +645,8 @@ def _serve_recording_shifts(controller, stream_cfg):
 
     ``slot_after`` is the slot the shift's retrieval returned, and
     ``slot_before`` the one the previous shift's retrieval returned: the slot
-    the ending episode was warm-started from.
+    the ending episode was warm-started from.  ``ignored`` is whether that
+    episode saw a shift while adapting and did not act on it.
     """
     retrieve, retrievals = controller.bank.retrieve_init, []
 
@@ -659,6 +660,7 @@ def _serve_recording_shifts(controller, stream_cfg):
         mean = controller.cmaes_state.mean.copy()
         bank = [v.copy() for v in controller.bank.vectors]
         writebacks = controller.telemetry.bank_writebacks
+        ignored = controller.shift_ignored
         _, report = controller.process_batch(batch.features)
         if report.shift_detected:
             shifts.append(
@@ -667,6 +669,7 @@ def _serve_recording_shifts(controller, stream_cfg):
                     slot_before=shifts[-1]["slot_after"] if shifts else None,
                     mean_before=mean,
                     bank_before=bank,
+                    ignored=ignored,
                     wrote_back=controller.telemetry.bank_writebacks > writebacks,
                     slot_after=retrievals[-1].slot,
                 )
@@ -678,7 +681,8 @@ def _serve_recording_shifts(controller, stream_cfg):
 class TestWriteBackBank:
     """An episode warm-started from bank slot j ends by overwriting slot j.
 
-    Only an episode that started from the zero vector archives a new entry.
+    Only an episode that started from the zero vector, or that ignored a shift
+    while adapting, archives a new entry.
     """
 
     def test_recurring_two_domain_stream_keeps_two_entries(self, adapted_setup):
@@ -709,7 +713,7 @@ class TestWriteBackBank:
         banks_after = [s["bank_before"] for s in shifts[1:]] + [controller.bank.vectors]
         for shift, after in zip(shifts, banks_after):
             expected = list(shift["bank_before"])
-            if shift["slot_before"] is None:
+            if shift["slot_before"] is None or shift["ignored"]:
                 assert not shift["wrote_back"]
                 expected.append(shift["mean_before"])  # capacity 5: no eviction
             else:
@@ -739,25 +743,43 @@ class TestWriteBackBank:
         # A's refreshed entry still wins the retrieval on an A batch
         assert controller.bank_slot == 0
 
-    def test_missed_boundary_overwrites_the_first_domains_slot(self, adapted_setup):
-        # Pinned behaviour: a boundary reached while adapting is not acted on,
-        # so B and C share one episode, and the shift that ends it writes the
-        # mean adapted to C over B's entry.
+    @staticmethod
+    def _b_then_c(c_scale):
+        # batch 180 (B) writes A's episode back and retrieves B's entry; C
+        # starts at batch 181, while the controller adapts, and B follows at 241
+        specs = [DOMAIN_A, DOMAIN_B, DOMAIN_A, replace(DOMAIN_B, batch_count=1)]
+        return specs + [DomainSpec("feature_scale", c_scale, 60), replace(DOMAIN_B, batch_count=1)]
+
+    def test_boundary_seen_while_adapting_archives_and_keeps_the_first_entry(
+        self, adapted_setup
+    ):
+        # the boundary into C is not acted on, so B and C share one episode;
+        # the detector still sees it, and the shift that ends the episode
+        # archives its mean instead of writing it over B's entry
         model, stats, config = adapted_setup
         controller = PaceController(model, stats, config)
-        specs = [
-            DOMAIN_A,
-            DOMAIN_B,
-            DOMAIN_A,
-            replace(DOMAIN_B, batch_count=1),
-            DomainSpec("feature_scale", 0.7, 60),
-            replace(DOMAIN_A, batch_count=1),
-        ]
-        shifts = _serve_recording_shifts(controller, _stream_config(specs, seed=3))
-        # batch 180 (B) writes A's episode back and retrieves B's entry; batch
-        # 181, the first of C, finds the controller adapting and is not a shift
+        shifts = _serve_recording_shifts(controller, _stream_config(self._b_then_c(3.0), seed=3))
         assert [s["index"] for s in shifts] == [60, 120, 180, 241]
         assert shifts[2]["slot_after"] == 1 and shifts[3]["slot_before"] == 1
+        assert [s["ignored"] for s in shifts] == [False, False, False, True]
+        b_entry = shifts[3]["bank_before"][1]
+        np.testing.assert_array_equal(b_entry, shifts[1]["mean_before"])
+        assert not shifts[3]["wrote_back"]
+        np.testing.assert_array_equal(
+            controller.bank.vectors, [*shifts[3]["bank_before"], shifts[3]["mean_before"]]
+        )
+        assert controller.telemetry.bank_writebacks == 1 and not controller.shift_ignored
+
+    def test_boundary_below_the_threshold_overwrites_the_first_entry(self, adapted_setup):
+        # Pinned behaviour: C at scale 0.7 scores below gamma against B, so
+        # the detector never sees the boundary, and the shift that ends the
+        # shared episode writes the mean adapted to C over B's entry
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        shifts = _serve_recording_shifts(controller, _stream_config(self._b_then_c(0.7), seed=3))
+        assert [s["index"] for s in shifts] == [60, 120, 180, 241]
+        assert shifts[2]["slot_after"] == 1 and shifts[3]["slot_before"] == 1
+        assert not any(s["ignored"] for s in shifts)
         b_entry = shifts[3]["bank_before"][1]
         np.testing.assert_array_equal(b_entry, shifts[1]["mean_before"])
         assert shifts[3]["wrote_back"]
