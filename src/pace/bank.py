@@ -1,13 +1,11 @@
-"""Bounded memory of search-distribution means, one entry per domain lineage.
+"""Bounded memory of search-distribution means adapted from the zero vector.
 
 Retrieval evaluates the adaptation fitness of every stored vector on the
 current batch -- plus the zero vector, so a fresh start is always a
-candidate -- in one population forward pass and returns the argmin as the
-warm-start mean, with the slot it came from.  An episode warm-started from
-slot j ends with ``write_back(j, mean)``, which overwrites that entry in
-place; an episode started from the zero vector ends with ``archive``,
-which appends, and so does one that may span two domains (the controller's
-``shift_ignored``).  When an append overflows the capacity, the entry with the
+candidate -- in one population forward pass and returns the argmin, with the
+slot it came from.  The controller serves a stored winner frozen, and
+archives only an episode that started from the zero vector, so no entry is
+ever overwritten.  When an append overflows the capacity, the entry with the
 highest mean pairwise cosine similarity to the rest is discarded (the
 newcomer included), keeping the stored vectors maximally diverse.
 """
@@ -75,20 +73,6 @@ class VectorBank:
             else:
                 drop = int(np.argmax(mean_pairwise_cosine(self.vectors)))
                 self.vectors.pop(drop)
-        return self
-
-    def write_back(self, slot: int, m) -> "VectorBank":
-        """Overwrite entry ``slot`` with a copy of ``m``; never evicts.
-
-        ``m`` is checked as ``archive`` checks it, and ``slot`` must index a
-        stored entry; a refused call leaves the bank unchanged.  Returns the
-        bank for chaining.
-        """
-        m = check_array(m, "m", ndim=1, length=self.dim).copy()
-        slot = check_int(slot, "slot", minimum=0)
-        if slot >= self.count:
-            raise ValueError(f"slot must lie in [0, {self.count}), got {slot}")
-        self.vectors[slot] = m
         return self
 
     def retrieve_init(

@@ -10,18 +10,16 @@ batch then costs one ``model.serve`` of those affines plus the shift
 detector, and is not scored, so its report's ``fitness_best`` is nan.  A
 frozen exponential moving average of stem-layer statistics is compared
 against each incoming batch via a symmetric KL score; when the score exceeds
-``gamma`` the current mean is stored in the vector bank, a warm start is
-retrieved by fitness, the binding is dropped and adaptation resumes.
+``gamma`` a mean adapted from the zero vector is archived in the vector bank
+and a start is retrieved by fitness.  A stored entry that wins is bound and
+served frozen from the next batch on, with no adapting episode (with
+``epsilon > 0``; ``epsilon = 0`` adapts from it).  When the zero vector wins,
+the binding is dropped and adaptation resumes from it.
 
-The bank holds one entry per domain lineage: an episode warm-started from
-bank slot j writes its mean back to slot j at the next shift, and an
-episode started from the zero vector archives a new entry.  So a domain that
-recurs refreshes its own entry instead of adding a near-copy.  A boundary
-that arrives while adapting, without ``shift_while_adapting``, folds two
-domains into one episode; the detector still sees it, and the shift that
-ends that episode archives its mean, so the first domain's entry survives.
-A boundary that scores below ``gamma`` is not seen, and its episode's mean
-overwrites the first domain's entry.
+So the bank holds only means adapted from zero, and a domain that recurs is
+served by its stored entry instead of being adapted again.  An episode that
+started from a hit stores nothing at the next shift, so no entry is ever
+overwritten.
 """
 from __future__ import annotations
 
@@ -51,11 +49,12 @@ class ControllerConfig:
     ``pace run`` and the benchmark build their config from ``RunConfig``
     (``tau0=0.05``, ``epsilon=0.1``) with
     ``pace.bench.run.controller_config_for_method``.  ``epsilon = 0`` never
-    stops adapting.  The detector still scores every adapting batch (the
-    report's ``shift_score``) and blends its statistics into the EMA, but a
-    shift is acted on, and the bank used, only with ``shift_while_adapting``.
-    A frozen batch is one ``serve`` of the affines bound at the stop and the
-    detector: no offset check, no fitness, no block moments.
+    stops adapting, and adapts from a bank hit instead of freezing at it.
+    The detector still scores every adapting batch (the report's
+    ``shift_score``) and blends its statistics into the EMA, but a shift is
+    acted on, and the bank used, only with ``shift_while_adapting``.  A
+    frozen batch is one ``serve`` of the affines bound at the stop or the
+    bank hit and the detector: no offset check, no fitness, no block moments.
     """
 
     dim: int = 32
@@ -149,7 +148,7 @@ class Telemetry:
     retrieval_forwards: int = 0
     rescue_forwards: int = 0
     shifts_detected: int = 0
-    bank_writebacks: int = 0  # shifts that wrote back to a slot instead of archiving
+    bank_hits: int = 0  # shifts whose retrieval returned a stored entry
     stops: int = 0
 
     def expected_forward_passes(self, population_size: int) -> int:
@@ -205,8 +204,7 @@ class PaceController:
             config.dim, tau0=config.tau0, population_size=config.population_size
         )
         self.bank = VectorBank(config.dim, config.bank_capacity)
-        self.bank_slot: int | None = None  # the slot this episode was warm-started from
-        self.shift_ignored = False  # this episode saw a shift while adapting, not acted on
+        self.from_bank = False  # started from a bank entry: the next shift stores nothing
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(7,)))
         )
@@ -269,29 +267,33 @@ class PaceController:
     def _shift(self, batch, batch_stats: EmaStats) -> int:
         """Store the mean, restart search and detector from the bank and the batch.
 
-        The mean goes back to the slot this episode was warm-started from.  It
-        is archived when the episode started from the zero vector, or when it
-        ignored a shift while adapting: then it may span two domains, and
-        writing it back would overwrite the first one's entry.  Returns the
-        forward passes the bank's retrieval cost.
+        Only a mean adapted from the zero vector is archived; a search that
+        started from a bank entry stores nothing.  A bank hit, with
+        ``epsilon > 0``, binds the stored entry and freezes at once.  Returns
+        the forward passes the bank's retrieval cost.
         """
         self.telemetry.shifts_detected += 1
-        if self.bank_slot is None or self.shift_ignored:
+        if not self.from_bank:
             self.bank.archive(self.cmaes_state.mean)
-        else:
-            self.bank.write_back(self.bank_slot, self.cmaes_state.mean)
-            self.telemetry.bank_writebacks += 1
         result = self.bank.retrieve_init(
             batch, self.model, self.projector, self.source_stats, self.fitness_config
         )
-        self.bank_slot = result.slot
-        self.shift_ignored = False
+        self.from_bank = result.slot is not None
+        self.telemetry.bank_hits += self.from_bank
         self.telemetry.retrieval_forwards += result.forward_passes
         self.cmaes_state = cmaes.reinitialized(self.cmaes_state, result.vector, self.config.tau0)
-        self.frozen_offset = None
-        self._frozen_affines = None
         self.ema = batch_stats
+        if self.from_bank and self.config.epsilon > 0:
+            self._freeze()
+        else:
+            self.frozen_offset = None
+            self._frozen_affines = None
         return result.forward_passes
+
+    def _freeze(self) -> None:
+        """Project the search mean and bind it into the model's affines, once."""
+        self.frozen_offset = self.projector.project(self.cmaes_state.mean)
+        self._frozen_affines = self.model.bind(self.frozen_offset)
 
     def _process_adapting(self, batch):
         cfg = self.config
@@ -315,7 +317,6 @@ class PaceController:
         best = int(np.argmin(scores))
         predictions = probs[best].copy()  # a view would keep all K candidates alive
         batch_stats, score, shift = self._detect(stats.stem_mean, stats.stem_var)
-        self.shift_ignored |= shift and not cfg.shift_while_adapting
         shift = shift and cfg.shift_while_adapting
         rel_change = np.nan
         if shift:
@@ -330,8 +331,7 @@ class PaceController:
                 self.ema = update_ema(self.ema, batch_stats, cfg.beta)
             # inf from the origin, so never below epsilon there; epsilon 0 never stops
             if rel_change < cfg.epsilon:
-                self.frozen_offset = self.projector.project(self.cmaes_state.mean)
-                self._frozen_affines = self.model.bind(self.frozen_offset)
+                self._freeze()
                 self.telemetry.stops += 1
         return predictions, scores[best], rel_change, score, shift, forward_passes
 

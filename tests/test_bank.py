@@ -123,63 +123,6 @@ class TestArchive:
             bank.archive([1.0, np.nan, 0.0])
 
 
-class TestWriteBack:
-    def _bank(self):
-        bank = VectorBank(3, capacity=4)
-        for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
-            bank.archive(v)
-        return bank
-
-    def test_replaces_the_slot_in_place_with_a_copy(self):
-        bank = self._bank()
-        before = [v.copy() for v in bank.vectors]
-        m = np.array([0.5, -2.0, 3.0])
-        assert bank.write_back(1, m) is bank
-        assert bank.count == 3
-        np.testing.assert_array_equal(bank.vectors[1], m)
-        m[0] = 9.0  # the bank holds its own copy
-        assert bank.vectors[1][0] == 0.5
-        for j in (0, 2):
-            np.testing.assert_array_equal(bank.vectors[j], before[j])
-
-    def test_a_full_bank_never_evicts_on_write_back(self):
-        bank = VectorBank(2, capacity=2)
-        bank.archive([1.0, 0.0])
-        bank.archive([0.0, 1.0])
-        bank.write_back(0, [0.0, 1.0])  # a duplicate that archive would evict
-        assert bank.count == 2
-        np.testing.assert_array_equal(bank.vectors, [[0.0, 1.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize(
-        "slot, m",
-        [
-            (-1, [1.0, 1.0, 1.0]),
-            (3, [1.0, 1.0, 1.0]),
-            (1.0, [1.0, 1.0, 1.0]),
-            (None, [1.0, 1.0, 1.0]),
-            (0, [1.0, 1.0]),
-            (0, [[1.0, 1.0, 1.0]]),
-            (0, [1.0, np.nan, 1.0]),
-            (0, [np.inf, 1.0, 1.0]),
-        ],
-        ids=["negative", "count", "float", "none", "short", "2-d", "nan", "inf"],
-    )
-    def test_refusal_leaves_the_bank_unchanged(self, slot, m):
-        bank = self._bank()
-        before = [v.copy() for v in bank.vectors]
-        with pytest.raises(ValueError):
-            bank.write_back(slot, m)
-        assert bank.count == 3
-        for v, w in zip(bank.vectors, before):
-            np.testing.assert_array_equal(v, w)
-
-    def test_an_empty_bank_has_no_slot(self):
-        bank = VectorBank(2, capacity=3)
-        with pytest.raises(ValueError):
-            bank.write_back(0, [1.0, 1.0])
-        assert bank.count == 0
-
-
 class TestMeanPairwiseCosine:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)

@@ -205,7 +205,7 @@ class TestProcessBatch:
         assert np.isfinite(report.shift_score)
 
     @pytest.mark.parametrize("setup", ["tiny_setup", "tiny_residual_setup"])
-    def test_each_stop_binds_once_and_frozen_batches_serve_it(
+    def test_each_freeze_binds_once_and_serves(
         self, setup, adapted_setup, request, monkeypatch
     ):
         _, model, stats = request.getfixturevalue(setup)
@@ -230,11 +230,13 @@ class TestProcessBatch:
             was_frozen = controller.mode == FROZEN
             if was_frozen:
                 expected, stats_expected = model.forward(controller.frozen_offset, X)
-            stops, bound = controller.telemetry.stops, len(binds)
+            telem = controller.telemetry
+            freezes, bound = telem.stops + telem.bank_hits, len(binds)
             served.clear()
             probs, report = controller.process_batch(X)
-            # a bind exactly when this batch stopped the search, of the offset it froze
-            assert len(binds) - bound == controller.telemetry.stops - stops
+            # a bind exactly when this batch stopped the search or hit the
+            # bank, of the offset it froze
+            assert len(binds) - bound == telem.stops + telem.bank_hits - freezes
             if len(binds) > bound:
                 assert binds[-1] is controller.frozen_offset
             if was_frozen:
@@ -245,9 +247,11 @@ class TestProcessBatch:
                 np.testing.assert_array_equal(stem_mean, stats_expected.stem_mean)
                 np.testing.assert_array_equal(stem_var, stats_expected.stem_var)
         telem = controller.telemetry
-        # stop -> shift -> stop cycles, with no rescue (which binds the zero offset)
-        assert telem.shifts_detected >= 1 and telem.stops >= 2 and telem.rescue_forwards == 0
-        assert len(binds) == telem.stops and frozen == telem.frozen_batches > 0
+        # both kinds of freeze, with no rescue (which binds the zero offset)
+        assert telem.shifts_detected >= 1 and telem.rescue_forwards == 0
+        assert telem.stops >= 1 and telem.bank_hits >= 1
+        assert len(binds) == telem.stops + telem.bank_hits
+        assert frozen == telem.frozen_batches > 0
 
     def test_adapting_batch_costs_population_forwards(self, adapted_setup):
         model, stats, config = adapted_setup
@@ -641,12 +645,11 @@ DOMAIN_A, DOMAIN_B = DomainSpec("feature_scale", 1.8, 60), DomainSpec("feature_s
 
 
 def _serve_recording_shifts(controller, stream_cfg):
-    """Serve the stream with a fresh controller; record the bank and search mean before each shift.
+    """Serve the stream; record, for each shift, the bank and search state before it.
 
-    ``slot_after`` is the slot the shift's retrieval returned, and
-    ``slot_before`` the one the previous shift's retrieval returned: the slot
-    the ending episode was warm-started from.  ``ignored`` is whether that
-    episode saw a shift while adapting and did not act on it.
+    ``from_bank`` is whether the search that the shift ends started from a
+    bank entry, ``hit`` whether the shift's own retrieval returned one, and
+    ``mode_after`` and ``mean_after`` the state the shift left.
     """
     retrieve, retrievals = controller.bank.retrieve_init, []
 
@@ -659,170 +662,125 @@ def _serve_recording_shifts(controller, stream_cfg):
     for batch in generate_stream(stream_cfg):
         mean = controller.cmaes_state.mean.copy()
         bank = [v.copy() for v in controller.bank.vectors]
-        writebacks = controller.telemetry.bank_writebacks
-        ignored = controller.shift_ignored
+        from_bank = controller.from_bank
         _, report = controller.process_batch(batch.features)
         if report.shift_detected:
             shifts.append(
                 dict(
-                    index=batch.index,
-                    slot_before=shifts[-1]["slot_after"] if shifts else None,
+                    from_bank=from_bank,
                     mean_before=mean,
                     bank_before=bank,
-                    ignored=ignored,
-                    wrote_back=controller.telemetry.bank_writebacks > writebacks,
-                    slot_after=retrievals[-1].slot,
+                    bank_after=[v.copy() for v in controller.bank.vectors],
+                    hit=retrievals[-1].slot is not None,
+                    retrieval=retrievals[-1],
+                    report=report,
+                    mode_after=controller.mode,
+                    mean_after=controller.cmaes_state.mean.copy(),
                 )
             )
-            assert controller.bank_slot == shifts[-1]["slot_after"]
+            assert controller.from_bank == shifts[-1]["hit"]
     return shifts
 
 
-class TestWriteBackBank:
-    """An episode warm-started from bank slot j ends by overwriting slot j.
+class TestHitFreezeBank:
+    """A bank hit is served frozen; only a search started from zero is stored."""
 
-    Only an episode that started from the zero vector, or that ignored a shift
-    while adapting, archives a new entry.
-    """
+    def test_a_hit_freezes_at_once(self, adapted_setup, monkeypatch):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        batches = list(generate_stream(_stream_config([DOMAIN_A, DOMAIN_B, DOMAIN_A], seed=3)))
+        for batch in batches[:120]:
+            controller.process_batch(batch.features)
+        # A's and B's episodes started from zero, stopped and froze
+        assert controller.mode == FROZEN and controller.bank.count == 1
+        assert controller.telemetry.bank_hits == 0
+        bind, binds = pace.model.AdaptableModel.bind, []
+
+        def counted_bind(self, offset):
+            binds.append(offset)
+            return bind(self, offset)
+
+        monkeypatch.setattr(pace.model.AdaptableModel, "bind", counted_bind)
+        stops = controller.telemetry.stops
+        _, report = controller.process_batch(batches[120].features)
+        # B's mean is archived, and A's entry wins on an A batch
+        assert report.shift_detected and controller.bank.count == 2
+        assert report.forward_passes == 1 + 3  # the frozen serve, then 2 entries and zero
+        assert controller.telemetry.bank_hits == 1 and controller.telemetry.stops == stops
+        assert controller.mode == FROZEN and len(binds) == 1
+        a_entry = controller.bank.vectors[0]
+        np.testing.assert_array_equal(controller.cmaes_state.mean, a_entry)
+        expected = controller.projector.project(a_entry)
+        np.testing.assert_array_equal(controller.frozen_offset, expected)
+        assert binds[0] is controller.frozen_offset
+        _, report = controller.process_batch(batches[121].features)
+        assert report.mode == FROZEN and report.forward_passes == 1 and len(binds) == 1
+        assert controller.telemetry.identity_holds(config.population_size)
+
+    @pytest.mark.parametrize("seed", [3, 13])
+    def test_only_a_search_started_from_zero_is_archived(self, adapted_setup, seed):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        shifts = _serve_recording_shifts(
+            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=seed)
+        )
+        assert any(s["from_bank"] for s in shifts) and not all(s["from_bank"] for s in shifts)
+        for shift in shifts:
+            expected = list(shift["bank_before"])
+            if not shift["from_bank"]:
+                expected.append(shift["mean_before"])  # capacity 5: no eviction
+            np.testing.assert_array_equal(shift["bank_after"], expected)
+            # a hit freezes, the zero vector restarts the search
+            assert shift["mode_after"] == (FROZEN if shift["hit"] else ADAPTING)
+        telem = controller.telemetry
+        assert telem.bank_hits == sum(s["hit"] for s in shifts) > 0
+        assert controller.bank.count == sum(not s["from_bank"] for s in shifts)
 
     def test_recurring_two_domain_stream_keeps_two_entries(self, adapted_setup):
         model, stats, config = adapted_setup
         controller = PaceController(model, stats, config)
-        counts = []
+        counts, adapted = [], [0, 0, 0]
         for batch in generate_stream(_stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)):
-            controller.process_batch(batch.features)
+            _, report = controller.process_batch(batch.features)
             counts.append(controller.bank.count)
-        # A's episode is archived at the first B batch and B's at the second A
-        # batch; from then on each shift writes back, so rounds 2 and 3 hold
-        # two entries throughout
+            adapted[batch.index // 120] += report.mode == ADAPTING
+        # A's episode is archived at the first B batch and B's at the second
+        # A batch; from then on every shift hits and stores nothing
         assert counts[:60] == [0] * 60 and counts[60:120] == [1] * 60
         assert counts[120:] == [2] * 240
+        assert adapted[0] > 0 and adapted[1] < adapted[0] and adapted[2] < adapted[0]
         telem = controller.telemetry
-        assert telem.shifts_detected == 5 and telem.bank_writebacks == 3
+        assert telem.shifts_detected >= 5 and telem.bank_hits == telem.shifts_detected - 1
 
-    def test_each_shift_writes_back_to_its_episodes_slot_or_archives(self, adapted_setup):
+    def test_epsilon_zero_adapts_from_a_hit_and_stores_nothing(self, adapted_setup):
         model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
+        cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
+        controller = PaceController(model, stats, cfg)
         shifts = _serve_recording_shifts(
-            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=13)
+            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)
         )
-        # at this seed the zero vector wins a retrieval after a write-back, so
-        # the episode it starts archives again
-        assert any(s["slot_before"] is not None and s["slot_after"] is None for s in shifts[:-1])
-        # the bank after a shift is the bank before the next one
-        banks_after = [s["bank_before"] for s in shifts[1:]] + [controller.bank.vectors]
-        for shift, after in zip(shifts, banks_after):
-            expected = list(shift["bank_before"])
-            if shift["slot_before"] is None or shift["ignored"]:
-                assert not shift["wrote_back"]
-                expected.append(shift["mean_before"])  # capacity 5: no eviction
-            else:
-                assert shift["wrote_back"]
-                expected[shift["slot_before"]] = shift["mean_before"]
-            np.testing.assert_array_equal(after, expected)
+        assert controller.telemetry.bank_hits == sum(s["hit"] for s in shifts) > 0
+        for shift in shifts:
+            assert shift["report"].mode == shift["mode_after"] == ADAPTING
+            # the search restarts from the winner, a stored entry or zero
+            np.testing.assert_array_equal(shift["mean_after"], shift["retrieval"].vector)
+            if shift["from_bank"]:
+                np.testing.assert_array_equal(shift["bank_after"], shift["bank_before"])
+        assert any(s["from_bank"] for s in shifts)
+        assert controller.mode == ADAPTING and controller.telemetry.stops == 0
+        assert controller.telemetry.frozen_batches == 0
 
-    def test_false_shift_writes_back_the_same_domains_mean(self, adapted_setup):
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
-        specs = [DOMAIN_A, DOMAIN_B, replace(DOMAIN_A, batch_count=61)]
-        batches = list(generate_stream(_stream_config(specs, seed=3)))
-        for batch in batches[:-1]:
-            controller.process_batch(batch.features)
-        # the third episode was warm-started from A's entry at batch 120 and froze
-        assert controller.mode == FROZEN and controller.bank_slot == 0
-        a_entry, b_entry = (v.copy() for v in controller.bank.vectors)
-        mean = controller.cmaes_state.mean.copy()
-        # a threshold below any score makes the detector fire inside domain A
-        controller.config = replace(config, gamma=1e-12)
-        _, report = controller.process_batch(batches[-1].features)
-        assert report.shift_detected
-        assert controller.telemetry.bank_writebacks == 1 and controller.bank.count == 2
-        np.testing.assert_array_equal(controller.bank.vectors[0], mean)
-        np.testing.assert_array_equal(controller.bank.vectors[1], b_entry)
-        assert not np.array_equal(mean, a_entry)
-        # A's refreshed entry still wins the retrieval on an A batch
-        assert controller.bank_slot == 0
-
-    @staticmethod
-    def _b_then_c(c_scale):
-        # batch 180 (B) writes A's episode back and retrieves B's entry; C
-        # starts at batch 181, while the controller adapts, and B follows at 241
-        specs = [DOMAIN_A, DOMAIN_B, DOMAIN_A, replace(DOMAIN_B, batch_count=1)]
-        return specs + [DomainSpec("feature_scale", c_scale, 60), replace(DOMAIN_B, batch_count=1)]
-
-    def test_boundary_seen_while_adapting_archives_and_keeps_the_first_entry(
-        self, adapted_setup
-    ):
-        # the boundary into C is not acted on, so B and C share one episode;
-        # the detector still sees it, and the shift that ends the episode
-        # archives its mean instead of writing it over B's entry
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
-        shifts = _serve_recording_shifts(controller, _stream_config(self._b_then_c(3.0), seed=3))
-        assert [s["index"] for s in shifts] == [60, 120, 180, 241]
-        assert shifts[2]["slot_after"] == 1 and shifts[3]["slot_before"] == 1
-        assert [s["ignored"] for s in shifts] == [False, False, False, True]
-        b_entry = shifts[3]["bank_before"][1]
-        np.testing.assert_array_equal(b_entry, shifts[1]["mean_before"])
-        assert not shifts[3]["wrote_back"]
-        np.testing.assert_array_equal(
-            controller.bank.vectors, [*shifts[3]["bank_before"], shifts[3]["mean_before"]]
-        )
-        assert controller.telemetry.bank_writebacks == 1 and not controller.shift_ignored
-
-    def test_boundary_below_the_threshold_overwrites_the_first_entry(self, adapted_setup):
-        # Pinned behaviour: C at scale 0.7 scores below gamma against B, so
-        # the detector never sees the boundary, and the shift that ends the
-        # shared episode writes the mean adapted to C over B's entry
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
-        shifts = _serve_recording_shifts(controller, _stream_config(self._b_then_c(0.7), seed=3))
-        assert [s["index"] for s in shifts] == [60, 120, 180, 241]
-        assert shifts[2]["slot_after"] == 1 and shifts[3]["slot_before"] == 1
-        assert not any(s["ignored"] for s in shifts)
-        b_entry = shifts[3]["bank_before"][1]
-        np.testing.assert_array_equal(b_entry, shifts[1]["mean_before"])
-        assert shifts[3]["wrote_back"]
-        np.testing.assert_array_equal(controller.bank.vectors[1], shifts[3]["mean_before"])
-        assert not any(np.array_equal(v, b_entry) for v in controller.bank.vectors)
-        assert controller.bank.count == 2
-
-    def test_write_back_after_an_evicting_archive_lands_on_the_retrieved_slot(
-        self, adapted_setup
-    ):
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, replace(config, bank_capacity=3))
-        # two near-duplicate entries that lose every retrieval: the first
-        # archive past capacity evicts one of them and moves A's entry down
-        junk = np.full(config.dim, 50.0)
-        controller.bank.archive(junk).archive(np.r_[49.0, junk[1:]])
-        specs = [DOMAIN_A, DOMAIN_B, DOMAIN_A, replace(DOMAIN_B, batch_count=1)]
-        shifts = _serve_recording_shifts(controller, _stream_config(specs, seed=3))
-        assert [s["index"] for s in shifts] == [60, 120, 180]
-        evicting, writing = shifts[1], shifts[2]
-        assert evicting["slot_before"] is None and len(evicting["bank_before"]) == 3
-        assert len(writing["bank_before"]) == 3  # the archive evicted an entry
-        # A's entry, archived at batch 60 into the third slot, is second after
-        # the eviction, and that is the slot the retrieval returned
-        a_entry = evicting["bank_before"][2]
-        np.testing.assert_array_equal(writing["bank_before"][1], a_entry)
-        assert evicting["slot_after"] == writing["slot_before"] == 1
-        assert writing["wrote_back"]
-        expected = list(writing["bank_before"])
-        expected[1] = writing["mean_before"]
-        np.testing.assert_array_equal(controller.bank.vectors, expected)
-
-    def test_zero_capacity_never_writes_back(self, adapted_setup):
+    def test_zero_capacity_never_hits(self, adapted_setup):
         model, stats, config = adapted_setup
         controller = PaceController(model, stats, replace(config, bank_capacity=0))
         shifts = _serve_recording_shifts(
             controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)
         )
         assert len(shifts) >= 5
-        assert not any(s["wrote_back"] or s["slot_after"] is not None for s in shifts)
-        assert controller.telemetry.bank_writebacks == 0 and controller.bank.count == 0
+        assert not any(s["hit"] or s["from_bank"] for s in shifts)
+        assert controller.telemetry.bank_hits == 0 and controller.bank.count == 0
 
-    def test_every_shift_archives_or_writes_back_on_the_8_round_stream(self, standard_assets):
+    def test_each_freeze_binds_once_on_the_8_round_stream(self, standard_assets, monkeypatch):
         config, model, stats, gamma = standard_assets
         config = replace(config, rounds=8)
         controller = PaceController(model, stats, controller_config_for_method(config, gamma))
@@ -835,11 +793,16 @@ class TestWriteBackBank:
             return retrieve(*args)
 
         controller.bank.retrieve_init = counted_retrieve
+        bind, binds = model.bind, []
+        monkeypatch.setattr(model, "bind", lambda offset: binds.append(1) or bind(offset))
         for batch in generate_stream(config.stream_config()):
             controller.process_batch(batch.features)
         telem = controller.telemetry
-        assert telem.shifts_detected == len(archives) + telem.bank_writebacks
-        assert telem.bank_writebacks > len(archives) > 0
+        # the telemetry alone tells a freeze at a stop from one at a hit
+        assert len(binds) == telem.stops + telem.bank_hits
+        assert telem.bank_hits > telem.stops > 0
+        # a shift archives unless the search it ends started from a hit
+        assert telem.shifts_detected == len(archives) + telem.bank_hits - controller.from_bank
         # each shift's retrieval scores the bank and the zero vector
         assert telem.retrieval_forwards == sum(candidates)
         assert len(candidates) == telem.shifts_detected

@@ -9,7 +9,11 @@ The inputs are fixed and there are no options.  The components:
 
 * ``presets.<method>`` -- for each of the six method presets on the standard
   stream, seeds 0-4: every batch's probabilities and ``BatchReport``, then
-  the final telemetry, mode and CMA-ES mean;
+  the final mode and CMA-ES mean;
+* ``telemetry.<method>`` -- the final ``Telemetry`` of the same runs, for
+  each preset that runs a controller: a telemetry field added or deleted
+  moves these lines alone, and a preset whose outputs are bit-identical keeps
+  its ``presets`` line;
 * ``run_prepared`` -- the per-batch rows ``run_prepared`` returns for the
   same 30 runs;
 * ``run_dir`` -- the bytes of ``batches.csv`` and ``summary.json`` that the
@@ -33,7 +37,7 @@ The inputs are fixed and there are no options.  The components:
   1.0000001, which six significant digits would round to 1.
 
 It reads only the public program API and the benchmark's workload table, so
-the same file runs on any checkout that has them.  About 90 s on a 2-CPU x86
+the same file runs on any checkout that has them.  About 45 s on a 2-CPU x86
 box.
 
 The BLAS thread count changes the rounding of some products (the ``cmaes``
@@ -95,17 +99,19 @@ def feed(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
-def serve_all(h, config, model, source_stats, gamma) -> None:
+def serve_all(h, config, model, source_stats, gamma) -> dict | None:
+    """Hash every batch's outputs into ``h``; return the telemetry, None without a controller."""
     controller_cfg = controller_config_for_method(config, gamma)
     if controller_cfg is None:
         zero = model.zero_offset()
         for batch in generate_stream(config.stream_config()):
             feed(h, model.forward(zero, batch.features)[0])
-        return
+        return None
     controller = PaceController(model, source_stats, controller_cfg)
     for batch in generate_stream(config.stream_config()):
         feed(h, controller.process_batch(batch.features))
-    feed(h, (controller.telemetry.as_dict(), controller.mode, controller.cmaes_state.mean))
+    feed(h, (controller.mode, controller.cmaes_state.mean))
+    return controller.telemetry.as_dict()
 
 
 def feed_run_dir(h, out: Path) -> None:
@@ -154,7 +160,11 @@ def main() -> int:
                 continue  # the wide-adapt assets only
             for method in METHODS:
                 config = dataclasses.replace(base, method=method)
-                serve_all(digests[f"presets.{method}"], config, model, source_stats, gamma)
+                telemetry = serve_all(
+                    digests[f"presets.{method}"], config, model, source_stats, gamma
+                )
+                if telemetry is not None:
+                    feed(digests.setdefault(f"telemetry.{method}", hashlib.sha256()), telemetry)
                 config = dataclasses.replace(config, out_dir=str(out))
                 rows = run_prepared(config, model, source_stats, gamma).batches
                 feed(digests["run_prepared"], rows)
