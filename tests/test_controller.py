@@ -205,7 +205,7 @@ class TestProcessBatch:
         assert np.isfinite(report.shift_score)
 
     @pytest.mark.parametrize("setup", ["tiny_setup", "tiny_residual_setup"])
-    def test_each_freeze_binds_once_and_serves(
+    def test_each_stop_binds_once_and_frozen_batches_serve_it(
         self, setup, adapted_setup, request, monkeypatch
     ):
         _, model, stats = request.getfixturevalue(setup)
@@ -736,22 +736,6 @@ class TestHitFreezeBank:
         assert telem.bank_hits == sum(s["hit"] for s in shifts) > 0
         assert controller.bank.count == sum(not s["from_bank"] for s in shifts)
 
-    def test_recurring_two_domain_stream_keeps_two_entries(self, adapted_setup):
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, config)
-        counts, adapted = [], [0, 0, 0]
-        for batch in generate_stream(_stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)):
-            _, report = controller.process_batch(batch.features)
-            counts.append(controller.bank.count)
-            adapted[batch.index // 120] += report.mode == ADAPTING
-        # A's episode is archived at the first B batch and B's at the second
-        # A batch; from then on every shift hits and stores nothing
-        assert counts[:60] == [0] * 60 and counts[60:120] == [1] * 60
-        assert counts[120:] == [2] * 240
-        assert adapted[0] > 0 and adapted[1] < adapted[0] and adapted[2] < adapted[0]
-        telem = controller.telemetry
-        assert telem.shifts_detected >= 5 and telem.bank_hits == telem.shifts_detected - 1
-
     def test_epsilon_zero_adapts_from_a_hit_and_stores_nothing(self, adapted_setup):
         model, stats, config = adapted_setup
         cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
@@ -769,16 +753,6 @@ class TestHitFreezeBank:
         assert any(s["from_bank"] for s in shifts)
         assert controller.mode == ADAPTING and controller.telemetry.stops == 0
         assert controller.telemetry.frozen_batches == 0
-
-    def test_zero_capacity_never_hits(self, adapted_setup):
-        model, stats, config = adapted_setup
-        controller = PaceController(model, stats, replace(config, bank_capacity=0))
-        shifts = _serve_recording_shifts(
-            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)
-        )
-        assert len(shifts) >= 5
-        assert not any(s["hit"] or s["from_bank"] for s in shifts)
-        assert controller.telemetry.bank_hits == 0 and controller.bank.count == 0
 
     def test_each_freeze_binds_once_on_the_8_round_stream(self, standard_assets, monkeypatch):
         config, model, stats, gamma = standard_assets
@@ -810,3 +784,33 @@ class TestHitFreezeBank:
         appending = sum(min(k, config.bank_capacity) + 1 for k in range(1, len(candidates) + 1))
         assert telem.retrieval_forwards <= 0.3 * appending
         assert telem.identity_holds(controller.config.population_size)
+
+
+class TestWriteBackBank:
+    """What shifts write back into the bank: one entry per recurring domain, none at capacity 0."""
+
+    def test_recurring_two_domain_stream_keeps_two_entries(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        counts, adapted = [], [0, 0, 0]
+        for batch in generate_stream(_stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)):
+            _, report = controller.process_batch(batch.features)
+            counts.append(controller.bank.count)
+            adapted[batch.index // 120] += report.mode == ADAPTING
+        # A's episode is archived at the first B batch and B's at the second
+        # A batch; from then on every shift hits and stores nothing
+        assert counts[:60] == [0] * 60 and counts[60:120] == [1] * 60
+        assert counts[120:] == [2] * 240
+        assert adapted[0] > 0 and adapted[1] < adapted[0] and adapted[2] < adapted[0]
+        telem = controller.telemetry
+        assert telem.shifts_detected >= 5 and telem.bank_hits == telem.shifts_detected - 1
+
+    def test_zero_capacity_never_writes_back(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, replace(config, bank_capacity=0))
+        shifts = _serve_recording_shifts(
+            controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)
+        )
+        assert len(shifts) >= 5
+        assert not any(s["hit"] or s["from_bank"] for s in shifts)
+        assert controller.telemetry.bank_hits == 0 and controller.bank.count == 0
