@@ -15,6 +15,7 @@ from ..controller import (
     FROZEN,
     BatchReport,
     ControllerConfig,
+    EmaReference,
     EmaStats,
     PaceController,
     calibrate_gamma,
@@ -286,19 +287,20 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
     """Shift threshold from the score distribution on held-out clean batches.
 
     Mirrors deployment: the detector EMA is warmed up and then frozen, and
-    scores are collected for the remaining stationary batches.
+    the remaining stationary batches are scored against it, held as one
+    ``EmaReference``.
     """
     stream_cfg = config.stream_config()
     total = config.calibration_batches * config.batch_size
     batches = make_source_batches(stream_cfg, total, config.batch_size, tag=3)
+    warmup = config.calibration_warmup
     ema = None
-    scores = []
-    for i, (X, _) in enumerate(batches):
-        batch_stats = EmaStats(*model.stem_moments(X))
-        if i < config.calibration_warmup:
-            ema = update_ema(ema, batch_stats, config.beta)
-        else:
-            scores.append(shift_score(ema, batch_stats))
+    for X, _ in batches[:warmup]:
+        ema = update_ema(ema, EmaStats(*model.stem_moments(X)), config.beta)
+    reference = EmaReference.of(ema)
+    scores = [
+        shift_score(reference, EmaStats(*model.stem_moments(X))) for X, _ in batches[warmup:]
+    ]
     return calibrate_gamma(scores)
 
 

@@ -20,10 +20,15 @@ So the bank holds only means adapted from zero, and a domain that recurs is
 served by its stored entry instead of being adapted again.  An episode that
 started from a hit stores nothing at the next shift, so no entry is ever
 overwritten.
+
+The EMA is held as an ``EmaReference``, checked and floored whenever it is
+set (the first blend, each adapting blend, a shift), so a scored batch pays
+only for checking its own statistics, once, inside ``shift_score``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .bank import VectorBank
 from .fitness import FitnessConfig, fitness
 from .model import AdaptableModel, SourceStats
 from .projection import FastfoodProjector
-from .validation import check_array, check_batch, check_positive, store_int
+from .validation import NonFiniteError, check_array, check_batch, check_positive, store_int
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
@@ -83,12 +88,47 @@ class ControllerConfig:
             raise ValueError("gamma must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmaStats:
-    """Per-feature mean/variance pair tracked by the detector."""
+    """Per-feature mean/variance pair tracked by the detector.
+
+    Frozen, so that no field of an ``EmaReference`` can be reassigned after
+    its checks.
+    """
 
     mean: np.ndarray
     var: np.ndarray
+
+
+@dataclass(frozen=True)
+class EmaReference(EmaStats):
+    """An ``EmaStats`` checked once, for ``shift_score`` to score many batches against.
+
+    Holds read-only float64 copies of the mean and the variance, checked
+    finite, 1-D and non-negative as ``shift_score`` checks its first
+    argument, and the variance floored at ``VARIANCE_FLOOR`` and twice that.
+    The controller holds its EMA as one, built whenever the EMA is set, so a
+    frozen batch checks and floors only its own statistics.
+    """
+
+    floored: np.ndarray = field(init=False, repr=False)
+    twice_floored: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mean = check_array(self.mean, "mean", ndim=1).copy()
+        var = check_array(self.var, "variance", length=mean.shape[0]).copy()
+        if (var < 0).any():
+            raise ValueError("variances must be non-negative")
+        floored = np.maximum(var, VARIANCE_FLOOR)
+        arrays = dict(mean=mean, var=var, floored=floored, twice_floored=2 * floored)
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, stats: EmaStats) -> EmaReference:
+        """``stats`` itself when it is a reference already, else a checked copy."""
+        return stats if isinstance(stats, cls) else cls(stats.mean, stats.var)
 
 
 def update_ema(ema: EmaStats | None, batch_stats: EmaStats, beta: float) -> EmaStats:
@@ -108,19 +148,22 @@ def shift_score(a: EmaStats, b: EmaStats) -> float:
     variance) pair; variances are floored at ``VARIANCE_FLOOR`` to keep
     degenerate batches from producing infinities.  Identical statistics score
     exactly 0.
+
+    Both pairs are checked: 1-D, of one length, finite and with non-negative
+    variances.  An ``EmaReference`` as ``a`` was checked and floored when it
+    was built, so only ``b`` is checked here; a plain ``a`` is checked as the
+    reference it is turned into.  Either way the score has the same bits.
     """
-    mean_a = check_array(a.mean, "mean", ndim=1)
-    n = mean_a.shape[-1]
+    a = EmaReference.of(a)
+    n = a.mean.shape[0]
     mean_b = check_array(b.mean, "mean", length=n)
-    var_a = check_array(a.var, "variance", length=n)
     var_b = check_array(b.var, "variance", length=n)
-    if (var_a < 0).any() or (var_b < 0).any():
+    if (var_b < 0).any():
         raise ValueError("variances must be non-negative")
-    va = np.maximum(var_a, VARIANCE_FLOOR)
     vb = np.maximum(var_b, VARIANCE_FLOOR)
-    delta2 = (mean_a - mean_b) ** 2
+    delta2 = (a.mean - mean_b) ** 2
     # KL(a||b) + KL(b||a) in closed form; the log terms cancel
-    per_feature = (va + delta2) / (2 * vb) + (vb + delta2) / (2 * va) - 1.0
+    per_feature = (a.floored + delta2) / (2 * vb) + (vb + delta2) / a.twice_floored - 1.0
     return float(np.add.reduce(per_feature, axis=None) / per_feature.size)
 
 
@@ -210,12 +253,22 @@ class PaceController:
         )
         self.frozen_offset: np.ndarray | None = None
         self._frozen_affines: tuple | None = None  # model.bind(frozen_offset)
-        self.ema: EmaStats | None = None
+        self.ema = None
         self.telemetry = Telemetry()
 
     @property
     def mode(self) -> str:
         return ADAPTING if self.frozen_offset is None else FROZEN
+
+    @property
+    def ema(self) -> EmaReference | None:
+        """The detector's EMA, None before the first scored batch."""
+        return self._ema
+
+    @ema.setter
+    def ema(self, stats: EmaStats | None) -> None:
+        # checked and floored here, once per EMA, not once per scored batch
+        self._ema = None if stats is None else EmaReference.of(stats)
 
     # -- public API ----------------------------------------------------------
 
@@ -251,16 +304,19 @@ class PaceController:
         The score is nan, and no shift is seen, before any EMA exists and for
         overflowing statistics.  Overflowing statistics, and statistics whose
         score against the EMA is not finite, come back as None: blended in,
-        they would poison the EMA for good.
+        they would poison the EMA for good.  Against an EMA, the statistics
+        are checked once, by ``shift_score``.
         """
         batch_stats = EmaStats(stem_mean, stem_var)
-        if not (np.isfinite(batch_stats.mean).all() and np.isfinite(batch_stats.var).all()):
+        if self._ema is None:
+            finite = np.isfinite(stem_mean).all() and np.isfinite(stem_var).all()
+            return (batch_stats if finite else None), np.nan, False
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = shift_score(self._ema, batch_stats)
+        except NonFiniteError:
             return None, np.nan, False
-        if self.ema is None:
-            return batch_stats, np.nan, False
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = shift_score(self.ema, batch_stats)
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             return None, score, False
         return batch_stats, score, score > self.config.gamma
 

@@ -218,6 +218,10 @@ def _ones_column(n, dtype):
 
 def _linear(h, weight, bias):
     """``h @ weight + bias`` as one GEMM over all leading axes of ``h``, bias added in place."""
+    if h.ndim == 2:  # a batch: the reshapes below would be no-ops
+        z = h @ weight
+        z += bias
+        return z
     z = h.reshape(-1, h.shape[-1]) @ weight
     z += bias
     return z.reshape(*h.shape[:-1], -1)
@@ -225,10 +229,11 @@ def _linear(h, weight, bias):
 
 def _softmax(logits):
     """Float64 softmax over the last axis, in place on a copy: ``exp(x - max) / sum``'s ufuncs."""
+    # the reductions ndarray.max and ndarray.sum wrap, called without the wrappers
     e = logits.astype(np.float64)
-    e -= e.max(axis=-1, keepdims=True)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

@@ -100,6 +100,8 @@ class FastfoodProjector:
     read-only arrays with row ``i`` belonging to block ``i``: ``signs`` (int8,
     entries +/-1), ``gauss`` (float64), ``perms`` (uint32, each row a
     permutation of ``range(d_padded)``) and ``scales`` (float64, positive).
+    The permutations are held as ``transform``'s gather index (int64, row
+    ``i`` offset by ``i * d_padded``), built once; ``perms`` derives them.
     """
 
     def __init__(self, d: int, D: int, seed: int = 0):
@@ -112,9 +114,12 @@ class FastfoodProjector:
         # transform pushes every row through every block at once
         per_block = (_block_factors(self.seed, i, self.d_padded) for i in range(n_blocks))
         stacked = tuple(np.stack(factor) for factor in zip(*per_block))
-        for factor in stacked:
-            factor.flags.writeable = False  # public, so read-only: the projector is immutable
-        self.signs, self.gauss, self.perms, self.scales = stacked
+        self.signs, self.gauss, perms, self.scales = stacked
+        # row i of perms, offset to block i of each sample's flattened blocks:
+        # transform's gather index, held in place of perms
+        self._flat_perms = perms + np.arange(0, perms.size, self.d_padded)[:, None]
+        for factor in (self.signs, self.gauss, self._flat_perms, self.scales):
+            factor.flags.writeable = False  # read-only: the projector is immutable
         # makes the composite approximately entrywise N(0, 1/d)
         self._output_scale = 1.0 / (self.d_padded * np.sqrt(self.d))
 
@@ -123,9 +128,16 @@ class FastfoodProjector:
         return self.signs.shape[0]
 
     @property
+    def perms(self) -> np.ndarray:
+        """The permutations, derived from the gather index ``transform`` holds."""
+        perms = (self._flat_perms % self.d_padded).astype(np.uint32)
+        perms.flags.writeable = False
+        return perms
+
+    @property
     def stored_nbytes(self) -> int:
         """Bytes held by the block factors (the dense equivalent is D*d floats)."""
-        return sum(f.nbytes for f in (self.signs, self.gauss, self.perms, self.scales))
+        return sum(f.nbytes for f in (self.signs, self.gauss, self._flat_perms, self.scales))
 
     def dense_equivalent_nbytes(self) -> int:
         """Bytes of the dense float32 ``D x d`` matrix the projector stands in for."""
@@ -144,9 +156,7 @@ class FastfoodProjector:
         padded = np.zeros((n, 1, self.d_padded), dtype=np.float64)
         padded[:, 0, : self.d] = V
         u = fwht(padded * self.signs)
-        # row i of perms, offset to block i of each sample's flattened blocks
-        flat_perms = self.perms + np.arange(0, width, self.d_padded)[:, None]
-        u = fwht(np.take(u.reshape(n, width), flat_perms, axis=1) * self.gauss)
+        u = fwht(np.take(u.reshape(n, width), self._flat_perms, axis=1) * self.gauss)
         u = u * (self.scales * self._output_scale)
         return u.reshape(n, width)[:, : self.D]
 

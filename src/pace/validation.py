@@ -6,6 +6,10 @@ import numbers
 import numpy as np
 
 
+class NonFiniteError(ValueError):
+    """``check_array``'s error for NaN/Inf entries, so a caller can tell it from a shape error."""
+
+
 def check_array(
     x,
     name: str = "array",
@@ -15,8 +19,8 @@ def check_array(
 ) -> np.ndarray:
     """Coerce ``x`` to a float64 ndarray and validate basic properties.
 
-    Raises ``ValueError`` on dimensionality/length mismatch or on NaN/Inf
-    entries.
+    Raises ``ValueError`` on dimensionality/length mismatch and its subclass
+    ``NonFiniteError`` on NaN/Inf entries.
     """
     arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
@@ -24,7 +28,7 @@ def check_array(
     if length is not None and arr.shape[-1:] != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from pace.controller import (
     FROZEN,
     GAMMA_HEADROOM,
     GAMMA_PERCENTILE,
+    VARIANCE_FLOOR,
     ControllerConfig,
+    EmaReference,
     EmaStats,
     PaceController,
     calibrate_gamma,
@@ -22,6 +24,7 @@ from pace.controller import (
     update_ema,
 )
 from pace.fitness import FitnessConfig, fitness
+from pace.validation import NonFiniteError
 
 
 class TestUpdateEma:
@@ -99,6 +102,78 @@ class TestShiftScore:
         for pair in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="variance"):
                 shift_score(*pair)
+
+
+def _closed_form_score(a: EmaStats, b: EmaStats) -> float:
+    """``shift_score``'s formula written out over plain arrays, with no reference."""
+    va = np.maximum(a.var, VARIANCE_FLOOR)
+    vb = np.maximum(b.var, VARIANCE_FLOOR)
+    delta2 = (a.mean - b.mean) ** 2
+    per_feature = (va + delta2) / (2 * vb) + (vb + delta2) / (2 * va) - 1.0
+    return float(np.add.reduce(per_feature, axis=None) / per_feature.size)
+
+
+def _random_stats(rng, n) -> EmaStats:
+    """Means and variances over many decades, a third of the variances zero, floored or 1e150."""
+    var = rng.random(n) * 10.0 ** rng.integers(-12, 4, size=n)
+    picked = rng.random(n) < 0.35
+    var[picked] = rng.choice([0.0, 1e-20, VARIANCE_FLOOR, 1e150], size=int(picked.sum()))
+    return EmaStats(3.0 * rng.standard_normal(n), var)
+
+
+class TestEmaReference:
+    def test_scores_the_bits_of_a_plain_ema(self):
+        rng = np.random.default_rng(27)
+        for n in (1, 3, 16, 64):
+            for _ in range(50):
+                a, b = _random_stats(rng, n), _random_stats(rng, n)
+                expected = _closed_form_score(a, b)
+                assert shift_score(EmaReference(a.mean, a.var), b) == expected
+                assert shift_score(a, b) == expected
+                # a reference as the batch side is scored as plain statistics
+                assert shift_score(b, EmaReference(a.mean, a.var)) == _closed_form_score(b, a)
+
+    def test_holds_read_only_copies(self):
+        mean, var = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, 1e-12])
+        ref = EmaReference(mean, var)
+        for array in (ref.mean, ref.var, ref.floored, ref.twice_floored):
+            assert not array.flags.writeable and array.dtype == np.float64
+        assert not np.shares_memory(ref.mean, mean) and not np.shares_memory(ref.var, var)
+        np.testing.assert_array_equal(ref.floored, [1.0, VARIANCE_FLOOR, VARIANCE_FLOOR])
+        np.testing.assert_array_equal(ref.twice_floored, 2 * ref.floored)
+        batch = EmaStats(np.zeros(3), np.ones(3))
+        before = shift_score(ref, batch)
+        mean[:] = 9.0
+        var[:] = 9.0
+        assert shift_score(ref, batch) == before
+        with pytest.raises(FrozenInstanceError):
+            ref.var = np.ones(3)
+        with pytest.raises(FrozenInstanceError):
+            EmaStats(np.zeros(3), np.ones(3)).mean = np.ones(3)
+
+    def test_of_returns_a_reference_itself(self):
+        ref = EmaReference(np.zeros(2), np.ones(2))
+        assert EmaReference.of(ref) is ref
+        plain = EmaStats(np.zeros(2), np.ones(2))
+        assert type(EmaReference.of(plain)) is EmaReference
+
+    @pytest.mark.parametrize(
+        "mean, var, error, match",
+        [
+            ([0.0, np.inf], [1.0, 1.0], NonFiniteError, "mean contains non-finite"),
+            ([0.0, 0.0], [1.0, np.nan], NonFiniteError, "variance contains non-finite"),
+            ([0.0, 0.0], [1.0, -1.0], ValueError, "non-negative"),
+            ([0.0, 0.0], [1.0], ValueError, "variance must have length 2"),
+            (0.0, 1.0, ValueError, r"shape \(\)"),
+        ],
+    )
+    def test_checks_as_shift_score_checks_its_first_argument(self, mean, var, error, match):
+        bad = EmaStats(np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64))
+        good = EmaStats(np.zeros(2), np.ones(2))
+        with pytest.raises(error, match=match):
+            EmaReference(bad.mean, bad.var)
+        with pytest.raises(error, match=match):
+            shift_score(bad, good)
 
 
 class TestCalibrateGamma:
@@ -399,32 +474,40 @@ class TestProcessBatch:
         controller_cfg = controller_config_for_method(config, gamma)
         batches = [batch.features for batch in generate_stream(config.stream_config())][:120]
         clean = PaceController(model, stats, controller_cfg)
-        hit = PaceController(model, stats, controller_cfg)
-        injected = False
-        for batch in batches:
-            if hit.mode == FROZEN and not injected:
-                bad = batch.copy()
-                bad[:, 0] = 1e307  # finite, so it passes validation; the stem mean overflows
-                _, report = hit.process_batch(bad)
-                assert report.mode == FROZEN and not report.shift_detected
-                assert np.isnan(report.shift_score)
-                assert hit.telemetry.identity_holds(controller_cfg.population_size)
-                injected = True
-            probs_clean, report_clean = clean.process_batch(batch)
-            probs, report = hit.process_batch(batch)
-            np.testing.assert_array_equal(probs, probs_clean)
-            assert report.batch_index == report_clean.batch_index + injected
-            np.testing.assert_equal(
-                {**vars(report), "batch_index": 0}, {**vars(report_clean), "batch_index": 0}
+        served_clean = [clean.process_batch(batch) for batch in batches]
+        assert clean.telemetry.shifts_detected >= 1
+        # finite, so both pass validation: at 1e307 the stem mean overflows and
+        # shift_score's check of the batch side, the only one, rejects it (nan
+        # score); at 1e160 the stem statistics are finite and the score is inf
+        for value, score_is_nan in ((1e307, True), (1e160, False)):
+            hit = PaceController(model, stats, controller_cfg)
+            injected = False
+            for batch, (probs_clean, report_clean) in zip(batches, served_clean):
+                if hit.mode == FROZEN and not injected:
+                    ema_before = hit.ema
+                    bad = batch.copy()
+                    bad[:, 0] = value
+                    _, report = hit.process_batch(bad)
+                    assert report.mode == FROZEN and not report.shift_detected
+                    assert not np.isfinite(report.shift_score)
+                    assert np.isnan(report.shift_score) == score_is_nan
+                    assert hit.ema is ema_before  # not blended, not replaced
+                    assert hit.telemetry.identity_holds(controller_cfg.population_size)
+                    injected = True
+                probs, report = hit.process_batch(batch)
+                np.testing.assert_array_equal(probs, probs_clean)
+                assert report.batch_index == report_clean.batch_index + injected
+                np.testing.assert_equal(
+                    {**vars(report), "batch_index": 0}, {**vars(report_clean), "batch_index": 0}
+                )
+            assert injected
+            telem = hit.telemetry
+            assert telem.identity_holds(controller_cfg.population_size)
+            assert (telem.batches, telem.frozen_batches, telem.forward_passes) == (
+                clean.telemetry.batches + 1,
+                clean.telemetry.frozen_batches + 1,
+                clean.telemetry.forward_passes + 1,
             )
-        assert injected and clean.telemetry.shifts_detected >= 1
-        telem = hit.telemetry
-        assert telem.identity_holds(controller_cfg.population_size)
-        assert (telem.batches, telem.frozen_batches, telem.forward_passes) == (
-            clean.telemetry.batches + 1,
-            clean.telemetry.frozen_batches + 1,
-            clean.telemetry.forward_passes + 1,
-        )
 
     @pytest.mark.parametrize(
         "value",
@@ -587,6 +670,87 @@ class TestProcessBatch:
             ControllerConfig(population_size=2.5)
         with pytest.raises(ValueError):
             ControllerConfig(bank_capacity=-1)
+
+
+class TestDetectorReference:
+    """The EMA is scored as a reference built when it is set, never a stale one."""
+
+    @pytest.mark.parametrize("method", ["pace", "pace-v1", "pace-v2", "pace-v3"])
+    def test_each_score_is_a_fresh_score_against_the_ema_before_the_batch(
+        self, standard_assets, method
+    ):
+        config, model, stats, gamma = standard_assets
+        config = replace(config, method=method, rounds=3)
+        controller_cfg = controller_config_for_method(config, gamma)
+        controller = PaceController(model, stats, controller_cfg)
+        scored = 0
+        for batch in generate_stream(config.stream_config()):
+            ema = controller.ema
+            plain = None if ema is None else EmaStats(ema.mean.copy(), ema.var.copy())
+            _, report = controller.process_batch(batch.features)
+            batch_stats = EmaStats(*model.stem_moments(batch.features))
+            if plain is None:
+                assert np.isnan(report.shift_score)
+                expected = batch_stats
+            else:
+                assert report.shift_score == _closed_form_score(plain, batch_stats)
+                assert report.shift_score == shift_score(plain, batch_stats)
+                scored += 1
+                if report.shift_detected:
+                    expected = batch_stats
+                elif report.mode == ADAPTING:
+                    expected = update_ema(plain, batch_stats, controller_cfg.beta)
+                else:
+                    expected = plain
+            # the EMA the next batch is scored against, and its floor, are up to date
+            ema = controller.ema
+            assert isinstance(ema, EmaReference)
+            np.testing.assert_array_equal(ema.mean, expected.mean)
+            np.testing.assert_array_equal(ema.var, expected.var)
+            np.testing.assert_array_equal(ema.floored, np.maximum(expected.var, VARIANCE_FLOOR))
+        assert scored == controller.telemetry.batches - 1 == 3 * 400 - 1
+
+    def test_a_plain_ema_assigned_is_scored_on_the_next_batch(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 120)], seed=3)
+        batches = (batch.features for batch in generate_stream(stream_cfg))
+        while controller.mode != FROZEN:
+            controller.process_batch(next(batches))
+        plain = EmaStats(controller.ema.mean + 0.25, controller.ema.var * 1.5)
+        controller.ema = plain
+        assert isinstance(controller.ema, EmaReference) and controller.ema is not plain
+        batch = next(batches)
+        expected = _closed_form_score(
+            EmaStats(plain.mean.copy(), plain.var.copy()), EmaStats(*model.stem_moments(batch))
+        )
+        plain.mean[:] = 0.0  # the controller holds a copy
+        _, report = controller.process_batch(batch)
+        assert report.mode == FROZEN
+        assert report.shift_score == expected
+
+    def test_frozen_batches_build_no_reference(self, adapted_setup, monkeypatch):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        built = []
+        build = EmaReference.__post_init__
+
+        def counted(self):
+            built.append(self)
+            build(self)
+
+        monkeypatch.setattr(EmaReference, "__post_init__", counted)
+        stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 150)], seed=5)
+        batches = (batch.features for batch in generate_stream(stream_cfg))
+        while controller.mode != FROZEN:
+            controller.process_batch(next(batches))
+        assert built  # one per blend while adapting
+        built.clear()
+        for _ in range(50):
+            _, report = controller.process_batch(next(batches))
+            assert report.mode == FROZEN and not report.shift_detected
+            assert np.isfinite(report.shift_score)
+        assert built == []
 
 
 class TestBaseWeightImmutability:

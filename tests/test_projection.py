@@ -142,7 +142,7 @@ class TestBuildProjector:
             assert factor.shape == (p.n_blocks, p.d_padded)
         for perm in p.perms:
             np.testing.assert_array_equal(np.sort(perm), np.arange(p.d_padded))
-        assert p.signs.dtype == np.int8
+        assert p.signs.dtype == np.int8 and p.perms.dtype == np.uint32
         assert np.all(np.abs(p.signs) == 1)
         assert np.all(p.scales > 0)
         for factor in factors:

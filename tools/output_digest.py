@@ -23,6 +23,9 @@ The inputs are fixed and there are no options.  The components:
   (2304, 34800) on fixed inputs;
 * ``cmaes`` -- 20 CMA-ES generations at d = 32, 256 and 512 on a fixed
   quadratic;
+* ``shift_score`` -- the detector's score, both ways round, of fixed plain
+  ``EmaStats`` pairs of 1, 8 and 64 features whose variances include zeros,
+  values below the floor and values up to 1e150;
 * ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
   builds for ``RunConfig(seed=0..4)`` and for sub-stream 0 of the
   ``wide-adapt`` benchmark workload;
@@ -72,7 +75,7 @@ from pace.bench.run import (  # noqa: E402
     run_prepared,
 )
 from pace.bench.stream import generate_stream  # noqa: E402
-from pace.controller import PaceController  # noqa: E402
+from pace.controller import EmaStats, PaceController, shift_score  # noqa: E402
 from pace.projection import FastfoodProjector  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -130,11 +133,27 @@ def feed_population_forward(h, model) -> None:
     feed(h, (probs, stats.means, stats.stds))
 
 
+def feed_shift_scores(h) -> None:
+    """Hash ``shift_score`` both ways round over fixed plain ``EmaStats`` pairs."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2027)))
+    # zero, below the floor, at it, and large enough that the ratio terms dominate
+    special = np.array([0.0, 1e-12, 1e-8, 1e150])
+    for n in (1, 8, 64):
+        for _ in range(10):
+            pair = []
+            for _ in range(2):
+                var = rng.random(n) * 10.0 ** rng.integers(-10, 4, size=n)
+                picked = rng.random(n) < 0.3
+                var[picked] = rng.choice(special, size=int(picked.sum()))
+                pair.append(EmaStats(rng.standard_normal(n) * 3.0, var))
+            feed(h, (shift_score(*pair), shift_score(*pair[::-1])))
+
+
 def main() -> int:
     digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
     for name in (
-        "run_prepared", "run_dir", "transform", "cmaes", "weights", "source_stats", "gamma",
-        "forward.wide", "stream",
+        "run_prepared", "run_dir", "transform", "cmaes", "shift_score", "weights",
+        "source_stats", "gamma", "forward.wide", "stream",
     ):
         digests[name] = hashlib.sha256()
 
@@ -187,6 +206,8 @@ def main() -> int:
             state, rel = cmaes.update(state, ranked)
             feed(digests["cmaes"], (state.mean, state.step_size, state.covariance, rel))
             feed(digests["cmaes"], (state.eig_sqrt, state.eig_basis, state.eig_iteration))
+
+    feed_shift_scores(digests["shift_score"])
 
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
