@@ -321,12 +321,11 @@ def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerC
         seed=config.seed,
     )
     if method in ("pace-always", "pace-v1"):
-        # never freezes; the detector scores every batch, but no shift is acted on
-        # and the bank stays empty without shift_while_adapting
-        kwargs["epsilon"] = 0.0
+        # never freezes and never sees a shift, so the bank stays empty; the
+        # detector still scores every batch
+        kwargs.update(epsilon=0.0, gamma=np.inf)
     elif method == "pace-v2":
         kwargs["epsilon"] = 0.0
-        kwargs["shift_while_adapting"] = True
     elif method == "pace-v3":
         kwargs["bank_capacity"] = 0
     return ControllerConfig(**kwargs)

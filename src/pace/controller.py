@@ -7,13 +7,13 @@ from the candidates' fitness ranking.  Adaptation freezes once the relative
 change of the mean falls below ``epsilon``: the stop projects the mean and
 binds it into the model's per-layer affines (``model.bind``), once.  A FROZEN
 batch then costs one ``model.serve`` of those affines plus the shift
-detector, and is not scored, so its report's ``fitness_best`` is nan.  A
-frozen exponential moving average of stem-layer statistics is compared
-against each incoming batch via a symmetric KL score; when the score exceeds
-``gamma`` a mean adapted from the zero vector is archived in the vector bank
-and a start is retrieved by fitness.  A stored entry that wins is bound and
-served frozen from the next batch on, with no adapting episode (with
-``epsilon > 0``; ``epsilon = 0`` adapts from it).  When the zero vector wins,
+detector, and is not scored, so its report's ``fitness_best`` is nan.  Every
+batch, adapting or frozen, is compared with an exponential moving average of
+stem-layer statistics via a symmetric KL score; above ``gamma``, a mean
+adapted from the zero vector is archived in the vector bank and a start is
+retrieved by fitness, in place of any CMA-ES update.  A stored entry that
+wins is bound and served frozen from the next batch on, with no adapting
+episode (``epsilon = 0`` adapts from it instead).  When the zero vector wins,
 the binding is dropped and adaptation resumes from it.
 
 So the bank holds only means adapted from zero, and a domain that recurs is
@@ -55,9 +55,8 @@ class ControllerConfig:
     (``tau0=0.05``, ``epsilon=0.1``) with
     ``pace.bench.run.controller_config_for_method``.  ``epsilon = 0`` never
     stops adapting, and adapts from a bank hit instead of freezing at it.
-    The detector still scores every adapting batch (the report's
-    ``shift_score``) and blends its statistics into the EMA, but a shift is
-    acted on, and the bank used, only with ``shift_while_adapting``.  A
+    ``gamma = inf`` never detects a shift, so the bank stays empty; the
+    detector still scores every batch (the report's ``shift_score``).  A
     frozen batch is one ``serve`` of the affines bound at the stop or the
     bank hit and the detector: no offset check, no fitness, no block moments.
     """
@@ -70,7 +69,6 @@ class ControllerConfig:
     beta: float = 0.8
     lambda_weight: float = 0.4
     bank_capacity: int = 30
-    shift_while_adapting: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -373,7 +371,6 @@ class PaceController:
         best = int(np.argmin(scores))
         predictions = probs[best].copy()  # a view would keep all K candidates alive
         batch_stats, score, shift = self._detect(stats.stem_mean, stats.stem_var)
-        shift = shift and cfg.shift_while_adapting
         rel_change = np.nan
         if shift:
             forward_passes += self._shift(batch, batch_stats)

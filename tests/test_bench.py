@@ -19,6 +19,7 @@ from pace.bench.run import (
     standard_domain_sequence,
 )
 from pace.bench.stream import StreamBatch, generate_stream, make_source_batches
+from pace.controller import PaceController
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,25 @@ class TestRunConfig:
     def test_always_and_v1_presets_share_one_configuration(self):
         always = controller_config_for_method(RunConfig(method="pace-always"), gamma=0.1)
         v1 = controller_config_for_method(RunConfig(method="pace-v1"), gamma=0.1)
-        assert always == v1 and always.epsilon == 0.0 and not always.shift_while_adapting
+        assert always == v1 and always.epsilon == 0.0 and always.gamma == np.inf
+
+    @pytest.mark.parametrize(
+        "method, differences",
+        [
+            ("pace", {}),
+            ("pace-always", dict(epsilon=0.0, gamma=np.inf)),
+            ("pace-v1", dict(epsilon=0.0, gamma=np.inf)),
+            ("pace-v2", dict(epsilon=0.0)),
+            ("pace-v3", dict(bank_capacity=0)),
+        ],
+    )
+    def test_presets_differ_from_pace_only_in_epsilon_gamma_and_capacity(
+        self, method, differences
+    ):
+        config = RunConfig(epsilon=0.07, bank_capacity=9, seed=3)
+        pace = controller_config_for_method(config, gamma=0.2)
+        preset = controller_config_for_method(replace(config, method=method), gamma=0.2)
+        assert preset == replace(pace, **differences)
 
     def test_standard_sequence_is_four_domains(self):
         seq = standard_domain_sequence()
@@ -122,6 +141,22 @@ class TestRun:
         adapted = rep_inf.adapted_fraction * 60
         assert adapted <= 2
         assert abs(rep_inf.overall_accuracy - rep_no.overall_accuracy) <= 2.0
+
+    def test_infinite_gamma_scores_every_batch_and_never_detects(self, standard_assets):
+        config, model, stats, gamma = standard_assets
+        controller_cfg = controller_config_for_method(replace(config, method="pace-v1"), gamma)
+        controller = PaceController(model, stats, controller_cfg)
+        scores = []
+        for batch in generate_stream(config.stream_config()):
+            _, report = controller.process_batch(batch.features)
+            assert not report.shift_detected
+            scores.append(report.shift_score)
+        telem = controller.telemetry
+        assert telem.shifts_detected == 0 and telem.retrieval_forwards == 0
+        assert controller.bank.count == 0 and telem.bank_hits == 0
+        # the detector still scores: every batch but the first, some above the calibrated gamma
+        assert np.isnan(scores[0]) and np.isfinite(scores[1:]).all()
+        assert max(scores[1:]) > gamma
 
     def test_reports_are_deterministic(self, standard_assets, fast_config):
         _, model, stats, gamma = standard_assets

@@ -206,7 +206,7 @@ def _stream_config(specs, seed=0, **overrides):
 
 
 # config overrides under which the boundary shift is seen while frozen / while adapting
-SHIFT_WHILE = {FROZEN: {}, ADAPTING: dict(epsilon=0.0, shift_while_adapting=True)}
+SHIFT_WHILE = {FROZEN: {}, ADAPTING: dict(epsilon=0.0)}
 
 
 @pytest.fixture(scope="module")
@@ -609,7 +609,7 @@ class TestProcessBatch:
 
     def test_shift_while_adapting_archives_and_restarts(self, adapted_setup):
         model, stats, config = adapted_setup
-        cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
+        cfg = replace(config, epsilon=0.0)
         controller = PaceController(model, stats, cfg)
         stream_cfg = _stream_config(
             [DomainSpec("feature_scale", 1.8, 50), DomainSpec("feature_scale", 0.4, 5)],
@@ -881,6 +881,33 @@ class TestHitFreezeBank:
         assert report.mode == FROZEN and report.forward_passes == 1 and len(binds) == 1
         assert controller.telemetry.identity_holds(config.population_size)
 
+    def test_a_shift_seen_while_adapting_archives_retrieves_and_freezes(self, adapted_setup):
+        model, stats, config = adapted_setup
+        controller = PaceController(model, stats, config)
+        # B is too short for its episode to stop: the return to A comes while adapting
+        specs = [DOMAIN_A, DomainSpec("feature_scale", 0.4, 5), DOMAIN_A]
+        shifts = _serve_recording_shifts(controller, _stream_config(specs, seed=7))
+        assert [s["report"].batch_index for s in shifts] == [60, 65]
+        shift = shifts[1]
+        report, retrieval = shift["report"], shift["retrieval"]
+        assert report.mode == ADAPTING and report.shift_detected
+        # B's episode started from zero, so its mean is archived next to A's entry
+        assert not shift["from_bank"]
+        expected_bank = shift["bank_before"] + [shift["mean_before"]]
+        np.testing.assert_array_equal(shift["bank_after"], expected_bank)
+        # no CMA-ES update ran: the search mean is the retrieval winner, A's entry
+        assert retrieval.slot == 0 and np.isnan(report.rel_mean_change)
+        np.testing.assert_array_equal(shift["mean_after"], retrieval.vector)
+        np.testing.assert_array_equal(shift["mean_after"], shift["bank_before"][0])
+        # the hit freezes at once, bound to the winner, for the rest of the stream
+        assert shift["hit"] and shift["mode_after"] == FROZEN
+        expected_offset = controller.projector.project(retrieval.vector)
+        np.testing.assert_array_equal(controller.frozen_offset, expected_offset)
+        assert report.forward_passes == config.population_size + retrieval.forward_passes == 6 + 3
+        telem = controller.telemetry
+        assert telem.stops == 1 and telem.bank_hits == 1 and controller.bank.count == 2
+        assert telem.identity_holds(config.population_size)
+
     @pytest.mark.parametrize("seed", [3, 13])
     def test_only_a_search_started_from_zero_is_archived(self, adapted_setup, seed):
         model, stats, config = adapted_setup
@@ -902,7 +929,7 @@ class TestHitFreezeBank:
 
     def test_epsilon_zero_adapts_from_a_hit_and_stores_nothing(self, adapted_setup):
         model, stats, config = adapted_setup
-        cfg = replace(config, epsilon=0.0, shift_while_adapting=True)
+        cfg = replace(config, epsilon=0.0)
         controller = PaceController(model, stats, cfg)
         shifts = _serve_recording_shifts(
             controller, _stream_config([DOMAIN_A, DOMAIN_B] * 3, seed=3)

@@ -10,6 +10,9 @@ The inputs are fixed and there are no options.  The components:
 * ``presets.<method>`` -- for each of the six method presets on the standard
   stream, seeds 0-4: every batch's probabilities and ``BatchReport``, then
   the final mode and CMA-ES mean;
+* ``presets.pace.rounds3`` -- the same for ``pace`` on the standard stream
+  at ``rounds=3``, seeds 0-4, with the same assets: the stream on which some
+  seeds see a shift while adapting;
 * ``telemetry.<method>`` -- the final ``Telemetry`` of the same runs, for
   each preset that runs a controller: a telemetry field added or deleted
   moves these lines alone, and a preset whose outputs are bit-identical keeps
@@ -151,6 +154,7 @@ def feed_shift_scores(h) -> None:
 
 def main() -> int:
     digests = {f"presets.{m}": hashlib.sha256() for m in METHODS}
+    digests["presets.pace.rounds3"] = hashlib.sha256()
     for name in (
         "run_prepared", "run_dir", "transform", "cmaes", "shift_score", "weights",
         "source_stats", "gamma", "forward.wide", "stream",
@@ -188,6 +192,8 @@ def main() -> int:
                 rows = run_prepared(config, model, source_stats, gamma).batches
                 feed(digests["run_prepared"], rows)
                 feed_run_dir(digests["run_dir"], out)
+            rounds3 = dataclasses.replace(base, method="pace", rounds=3)
+            serve_all(digests["presets.pace.rounds3"], rounds3, model, source_stats, gamma)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
     for d, D in ((32, 256), (256, 3584), (2304, 34800)):
