@@ -15,7 +15,6 @@ from ..controller import (
     FROZEN,
     BatchReport,
     ControllerConfig,
-    EmaReference,
     EmaStats,
     PaceController,
     calibrate_gamma,
@@ -287,8 +286,7 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
     """Shift threshold from the score distribution on held-out clean batches.
 
     Mirrors deployment: the detector EMA is warmed up and then frozen, and
-    the remaining stationary batches are scored against it, held as one
-    ``EmaReference``.
+    the remaining stationary batches are scored against it.
     """
     stream_cfg = config.stream_config()
     total = config.calibration_batches * config.batch_size
@@ -297,10 +295,7 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
     ema = None
     for X, _ in batches[:warmup]:
         ema = update_ema(ema, EmaStats(*model.stem_moments(X)), config.beta)
-    reference = EmaReference.of(ema)
-    scores = [
-        shift_score(reference, EmaStats(*model.stem_moments(X))) for X, _ in batches[warmup:]
-    ]
+    scores = [shift_score(ema, EmaStats(*model.stem_moments(X))) for X, _ in batches[warmup:]]
     return calibrate_gamma(scores)
 
 

@@ -21,9 +21,9 @@ served by its stored entry instead of being adapted again.  An episode that
 started from a hit stores nothing at the next shift, so no entry is ever
 overwritten.
 
-The EMA is held as an ``EmaReference``, checked and floored whenever it is
-set (the first blend, each adapting blend, a shift), so a scored batch pays
-only for checking its own statistics, once, inside ``shift_score``.
+The batch's stem statistics and the EMA are ``EmaStats`` records, checked
+and floored where they are built, so a scored batch builds and checks its
+own statistics once, and the EMA is checked once per blend or shift.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .validation import NonFiniteError, check_array, check_batch, check_positive
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
-VARIANCE_FLOOR = 1e-8  # shift_score's lower bound on a feature variance
+VARIANCE_FLOOR = 1e-8  # EmaStats' lower bound on a feature variance, for shift_score
 GAMMA_PERCENTILE = 99.5  # calibrate_gamma's percentile of the stationary scores
 GAMMA_HEADROOM = 2.5  # and the factor it is multiplied by
 
@@ -88,51 +88,44 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class EmaStats:
-    """Per-feature mean/variance pair tracked by the detector.
+    """Per-feature mean/variance pair tracked by the detector, checked where it is built.
 
-    Frozen, so that no field of an ``EmaReference`` can be reassigned after
-    its checks.
+    Holds read-only float64 copies of the mean and the variance, checked
+    finite, 1-D, of one length and non-negative, and the variance floored at
+    ``VARIANCE_FLOOR`` and twice that.  Frozen, so no field can be reassigned
+    after its checks: a batch's statistics are checked and floored once, and
+    the EMA once per blend, not once per score.
     """
 
     mean: np.ndarray
     var: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmaReference(EmaStats):
-    """An ``EmaStats`` checked once, for ``shift_score`` to score many batches against.
-
-    Holds read-only float64 copies of the mean and the variance, checked
-    finite, 1-D and non-negative as ``shift_score`` checks its first
-    argument, and the variance floored at ``VARIANCE_FLOOR`` and twice that.
-    The controller holds its EMA as one, built whenever the EMA is set, so a
-    frozen batch checks and floors only its own statistics.
-    """
-
     floored: np.ndarray = field(init=False, repr=False)
     twice_floored: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = check_array(self.mean, "mean", ndim=1).copy()
-        var = check_array(self.var, "variance", length=mean.shape[0]).copy()
+        var = check_array(self.var, "variance", ndim=1, length=mean.shape[0]).copy()
         if (var < 0).any():
             raise ValueError("variances must be non-negative")
         floored = np.maximum(var, VARIANCE_FLOOR)
         arrays = dict(mean=mean, var=var, floored=floored, twice_floored=2 * floored)
         for name, value in arrays.items():
-            value.flags.writeable = False
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def of(cls, stats: EmaStats) -> EmaReference:
-        """``stats`` itself when it is a reference already, else a checked copy."""
-        return stats if isinstance(stats, cls) else cls(stats.mean, stats.var)
+
+def _check_lengths(a: EmaStats, b: EmaStats) -> None:
+    if a.mean.shape != b.mean.shape:
+        raise ValueError(
+            f"statistics of {a.mean.shape[0]} and {b.mean.shape[0]} features do not match"
+        )
 
 
 def update_ema(ema: EmaStats | None, batch_stats: EmaStats, beta: float) -> EmaStats:
-    """Convex blend weighting the latest batch by ``beta``; first call initializes."""
+    """Convex blend weighting the latest batch by ``beta``; the first call returns the batch."""
     if ema is None:
-        return EmaStats(batch_stats.mean.copy(), batch_stats.var.copy())
+        return batch_stats
+    _check_lengths(ema, batch_stats)
     return EmaStats(
         beta * batch_stats.mean + (1 - beta) * ema.mean,
         beta * batch_stats.var + (1 - beta) * ema.var,
@@ -145,23 +138,15 @@ def shift_score(a: EmaStats, b: EmaStats) -> float:
     Each feature is treated as a univariate Gaussian given its (mean,
     variance) pair; variances are floored at ``VARIANCE_FLOOR`` to keep
     degenerate batches from producing infinities.  Identical statistics score
-    exactly 0.
-
-    Both pairs are checked: 1-D, of one length, finite and with non-negative
-    variances.  An ``EmaReference`` as ``a`` was checked and floored when it
-    was built, so only ``b`` is checked here; a plain ``a`` is checked as the
-    reference it is turned into.  Either way the score has the same bits.
+    exactly 0.  Both pairs were checked and floored when they were built, so
+    only their lengths are compared here.
     """
-    a = EmaReference.of(a)
-    n = a.mean.shape[0]
-    mean_b = check_array(b.mean, "mean", length=n)
-    var_b = check_array(b.var, "variance", length=n)
-    if (var_b < 0).any():
-        raise ValueError("variances must be non-negative")
-    vb = np.maximum(var_b, VARIANCE_FLOOR)
-    delta2 = (a.mean - mean_b) ** 2
+    _check_lengths(a, b)
+    delta2 = (a.mean - b.mean) ** 2
     # KL(a||b) + KL(b||a) in closed form; the log terms cancel
-    per_feature = (a.floored + delta2) / (2 * vb) + (vb + delta2) / a.twice_floored - 1.0
+    per_feature = (
+        (a.floored + delta2) / b.twice_floored + (b.floored + delta2) / a.twice_floored - 1.0
+    )
     return float(np.add.reduce(per_feature, axis=None) / per_feature.size)
 
 
@@ -251,22 +236,12 @@ class PaceController:
         )
         self.frozen_offset: np.ndarray | None = None
         self._frozen_affines: tuple | None = None  # model.bind(frozen_offset)
-        self.ema = None
+        self.ema: EmaStats | None = None  # the detector's, None before the first scored batch
         self.telemetry = Telemetry()
 
     @property
     def mode(self) -> str:
         return ADAPTING if self.frozen_offset is None else FROZEN
-
-    @property
-    def ema(self) -> EmaReference | None:
-        """The detector's EMA, None before the first scored batch."""
-        return self._ema
-
-    @ema.setter
-    def ema(self, stats: EmaStats | None) -> None:
-        # checked and floored here, once per EMA, not once per scored batch
-        self._ema = None if stats is None else EmaReference.of(stats)
 
     # -- public API ----------------------------------------------------------
 
@@ -299,21 +274,20 @@ class PaceController:
     def _detect(self, stem_mean, stem_var) -> tuple[EmaStats | None, float, bool]:
         """Batch stem statistics to blend into the EMA, shift score and shift decision.
 
-        The score is nan, and no shift is seen, before any EMA exists and for
-        overflowing statistics.  Overflowing statistics, and statistics whose
-        score against the EMA is not finite, come back as None: blended in,
-        they would poison the EMA for good.  Against an EMA, the statistics
-        are checked once, by ``shift_score``.
+        The batch's ``EmaStats`` is built once, which checks and floors its
+        statistics.  The score is nan, and no shift is seen, before any EMA
+        exists and for overflowing statistics.  Overflowing statistics, and
+        statistics whose score against the EMA is not finite, come back as
+        None: blended in, they would poison the EMA for good.
         """
-        batch_stats = EmaStats(stem_mean, stem_var)
-        if self._ema is None:
-            finite = np.isfinite(stem_mean).all() and np.isfinite(stem_var).all()
-            return (batch_stats if finite else None), np.nan, False
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                score = shift_score(self._ema, batch_stats)
-        except NonFiniteError:
-            return None, np.nan, False
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                batch_stats = EmaStats(stem_mean, stem_var)
+            except NonFiniteError:
+                return None, np.nan, False
+            if self.ema is None:
+                return batch_stats, np.nan, False
+            score = shift_score(self.ema, batch_stats)
         if not math.isfinite(score):
             return None, score, False
         return batch_stats, score, score > self.config.gamma

@@ -19,7 +19,7 @@ from pace.bench.run import (
     standard_domain_sequence,
 )
 from pace.bench.stream import StreamBatch, generate_stream, make_source_batches
-from pace.controller import PaceController
+from pace.controller import PaceController, Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +166,13 @@ class TestRun:
         assert a.total_forward_passes == b.total_forward_passes
         assert a.per_domain_accuracy == b.per_domain_accuracy
 
-    def test_identity_enforced_and_reported(self, standard_assets, fast_config):
+    def test_identity_enforced_and_reported(self, standard_assets, fast_config, monkeypatch):
         _, model, stats, gamma = standard_assets
         report = run_prepared(replace(fast_config, method="pace"), model, stats, gamma)
         assert report.identity_ok
+        monkeypatch.setattr(Telemetry, "identity_holds", lambda self, population_size: False)
+        with pytest.raises(RuntimeError, match="identity violated"):
+            run_prepared(replace(fast_config, method="pace"), model, stats, gamma)
 
     def test_outputs_written(self, standard_assets, fast_config, tmp_path):
         _, model, stats, gamma = standard_assets

@@ -122,6 +122,11 @@ class TestSamplePopulation:
         pop = cmaes.sample_population(repaired, np.random.default_rng(0))
         assert np.all(np.isfinite(pop))
 
+    def test_repair_of_a_nan_covariance_gives_up(self):
+        # no jitter makes a NaN covariance factorizable
+        with pytest.raises(np.linalg.LinAlgError, match="repair failed"):
+            cmaes._repair_and_factorize(np.full((3, 3), np.nan))
+
 
 class TestUpdate:
     def _ranked(self, state, rng):

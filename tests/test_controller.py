@@ -16,7 +16,6 @@ from pace.controller import (
     GAMMA_PERCENTILE,
     VARIANCE_FLOOR,
     ControllerConfig,
-    EmaReference,
     EmaStats,
     PaceController,
     calibrate_gamma,
@@ -49,9 +48,13 @@ class TestUpdateEma:
 
     def test_first_call_initializes(self):
         batch = EmaStats(np.array([2.0]), np.array([3.0]))
-        out = update_ema(None, batch, beta=0.8)
-        np.testing.assert_array_equal(out.mean, [2.0])
-        np.testing.assert_array_equal(out.var, [3.0])
+        assert update_ema(None, batch, beta=0.8) is batch
+
+    def test_statistics_of_another_length_rejected(self):
+        # a 1-feature batch would broadcast into a 4-feature EMA
+        ema = EmaStats(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="4 and 1 features"):
+            update_ema(ema, EmaStats(np.array([1.0]), np.array([2.0])), beta=0.8)
 
 
 class TestShiftScore:
@@ -82,30 +85,31 @@ class TestShiftScore:
         assert np.isfinite(value) and value > 0
 
     def test_negative_variance_rejected(self):
-        a = EmaStats(np.array([0.0]), np.array([-1.0]))
-        b = EmaStats(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="non-negative"):
-            shift_score(a, b)
+            EmaStats(np.array([0.0]), np.array([-1.0]))
 
     def test_zero_dimensional_statistics_rejected(self):
-        scalar = EmaStats(np.float64(1.0), np.float64(1.0))
-        vector = EmaStats(np.zeros(3), np.ones(3))
-        for pair in ((scalar, vector), (vector, scalar)):
+        for mean, var in ((np.float64(1.0), np.ones(3)), (np.zeros(3), np.float64(1.0))):
             with pytest.raises(ValueError, match=r"shape \(\)"):
-                shift_score(*pair)
+                EmaStats(mean, var)
 
-    @pytest.mark.parametrize("var", [[4.0], [1.0, 1.0, np.nan, 1.0]])
+    @pytest.mark.parametrize("var", [[4.0], [1.0, 1.0, np.nan, 1.0], [[1.0, 1.0, 1.0, 1.0]]])
     def test_variance_checked_like_the_mean(self, var):
-        # a length-1 variance would broadcast; a NaN one would score nan
+        # a length-1 variance would broadcast, a NaN one would score nan, and
+        # a (1, n) one would score against the mean of another shape
+        with pytest.raises(ValueError, match="variance"):
+            EmaStats(np.zeros(4), np.array(var))
+
+    def test_statistics_of_another_length_rejected(self):
         a = EmaStats(np.zeros(4), np.ones(4))
-        b = EmaStats(np.zeros(4), np.array(var))
-        for pair in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match="variance"):
+        b = EmaStats(np.zeros(3), np.ones(3))
+        for pair, match in (((a, b), "4 and 3 features"), ((b, a), "3 and 4 features")):
+            with pytest.raises(ValueError, match=match):
                 shift_score(*pair)
 
 
 def _closed_form_score(a: EmaStats, b: EmaStats) -> float:
-    """``shift_score``'s formula written out over plain arrays, with no reference."""
+    """``shift_score``'s formula written out from the mean and variance alone."""
     va = np.maximum(a.var, VARIANCE_FLOOR)
     vb = np.maximum(b.var, VARIANCE_FLOOR)
     delta2 = (a.mean - b.mean) ** 2
@@ -121,21 +125,18 @@ def _random_stats(rng, n) -> EmaStats:
     return EmaStats(3.0 * rng.standard_normal(n), var)
 
 
-class TestEmaReference:
+class TestEmaStats:
     def test_scores_the_bits_of_a_plain_ema(self):
         rng = np.random.default_rng(27)
         for n in (1, 3, 16, 64):
             for _ in range(50):
                 a, b = _random_stats(rng, n), _random_stats(rng, n)
-                expected = _closed_form_score(a, b)
-                assert shift_score(EmaReference(a.mean, a.var), b) == expected
-                assert shift_score(a, b) == expected
-                # a reference as the batch side is scored as plain statistics
-                assert shift_score(b, EmaReference(a.mean, a.var)) == _closed_form_score(b, a)
+                assert shift_score(a, b) == _closed_form_score(a, b)
+                assert shift_score(b, a) == _closed_form_score(b, a)
 
     def test_holds_read_only_copies(self):
         mean, var = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, 1e-12])
-        ref = EmaReference(mean, var)
+        ref = EmaStats(mean, var)
         for array in (ref.mean, ref.var, ref.floored, ref.twice_floored):
             assert not array.flags.writeable and array.dtype == np.float64
         assert not np.shares_memory(ref.mean, mean) and not np.shares_memory(ref.var, var)
@@ -151,12 +152,6 @@ class TestEmaReference:
         with pytest.raises(FrozenInstanceError):
             EmaStats(np.zeros(3), np.ones(3)).mean = np.ones(3)
 
-    def test_of_returns_a_reference_itself(self):
-        ref = EmaReference(np.zeros(2), np.ones(2))
-        assert EmaReference.of(ref) is ref
-        plain = EmaStats(np.zeros(2), np.ones(2))
-        assert type(EmaReference.of(plain)) is EmaReference
-
     @pytest.mark.parametrize(
         "mean, var, error, match",
         [
@@ -168,12 +163,8 @@ class TestEmaReference:
         ],
     )
     def test_checks_as_shift_score_checks_its_first_argument(self, mean, var, error, match):
-        bad = EmaStats(np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64))
-        good = EmaStats(np.zeros(2), np.ones(2))
         with pytest.raises(error, match=match):
-            EmaReference(bad.mean, bad.var)
-        with pytest.raises(error, match=match):
-            shift_score(bad, good)
+            EmaStats(np.asarray(mean, dtype=np.float64), np.asarray(var, dtype=np.float64))
 
 
 class TestCalibrateGamma:
@@ -477,8 +468,8 @@ class TestProcessBatch:
         served_clean = [clean.process_batch(batch) for batch in batches]
         assert clean.telemetry.shifts_detected >= 1
         # finite, so both pass validation: at 1e307 the stem mean overflows and
-        # shift_score's check of the batch side, the only one, rejects it (nan
-        # score); at 1e160 the stem statistics are finite and the score is inf
+        # building the batch's EmaStats rejects it (nan score); at 1e160 the
+        # stem statistics are finite and the score is inf
         for value, score_is_nan in ((1e307, True), (1e160, False)):
             hit = PaceController(model, stats, controller_cfg)
             injected = False
@@ -673,7 +664,7 @@ class TestProcessBatch:
 
 
 class TestDetectorReference:
-    """The EMA is scored as a reference built when it is set, never a stale one."""
+    """The EMA is scored as the record built when it is set, never a stale one."""
 
     @pytest.mark.parametrize("method", ["pace", "pace-v1", "pace-v2", "pace-v3"])
     def test_each_score_is_a_fresh_score_against_the_ema_before_the_batch(
@@ -704,7 +695,7 @@ class TestDetectorReference:
                     expected = plain
             # the EMA the next batch is scored against, and its floor, are up to date
             ema = controller.ema
-            assert isinstance(ema, EmaReference)
+            assert isinstance(ema, EmaStats)
             np.testing.assert_array_equal(ema.mean, expected.mean)
             np.testing.assert_array_equal(ema.var, expected.var)
             np.testing.assert_array_equal(ema.floored, np.maximum(expected.var, VARIANCE_FLOOR))
@@ -719,12 +710,11 @@ class TestDetectorReference:
             controller.process_batch(next(batches))
         plain = EmaStats(controller.ema.mean + 0.25, controller.ema.var * 1.5)
         controller.ema = plain
-        assert isinstance(controller.ema, EmaReference) and controller.ema is not plain
+        assert controller.ema is plain
+        with pytest.raises(ValueError, match="read-only"):
+            plain.mean[:] = 0.0
         batch = next(batches)
-        expected = _closed_form_score(
-            EmaStats(plain.mean.copy(), plain.var.copy()), EmaStats(*model.stem_moments(batch))
-        )
-        plain.mean[:] = 0.0  # the controller holds a copy
+        expected = _closed_form_score(plain, EmaStats(*model.stem_moments(batch)))
         _, report = controller.process_batch(batch)
         assert report.mode == FROZEN
         assert report.shift_score == expected
@@ -732,25 +722,34 @@ class TestDetectorReference:
     def test_frozen_batches_build_no_reference(self, adapted_setup, monkeypatch):
         model, stats, config = adapted_setup
         controller = PaceController(model, stats, config)
-        built = []
-        build = EmaReference.__post_init__
+        built, blends = [], []
+        build, blend = EmaStats.__post_init__, ctrl.update_ema
 
         def counted(self):
             built.append(self)
             build(self)
 
-        monkeypatch.setattr(EmaReference, "__post_init__", counted)
+        def counted_blend(*args):
+            blends.append(args)
+            return blend(*args)
+
+        monkeypatch.setattr(EmaStats, "__post_init__", counted)
+        monkeypatch.setattr(ctrl, "update_ema", counted_blend)
         stream_cfg = _stream_config([DomainSpec("feature_scale", 1.8, 150)], seed=5)
         batches = (batch.features for batch in generate_stream(stream_cfg))
         while controller.mode != FROZEN:
             controller.process_batch(next(batches))
-        assert built  # one per blend while adapting
-        built.clear()
+        assert blends  # one per adapting batch
         for _ in range(50):
-            _, report = controller.process_batch(next(batches))
+            built.clear()
+            blends.clear()
+            batch = next(batches)
+            _, report = controller.process_batch(batch)
             assert report.mode == FROZEN and not report.shift_detected
             assert np.isfinite(report.shift_score)
-        assert built == []
+            # the batch's own statistics, and nothing blended into the EMA
+            assert len(built) == 1 and blends == []
+            np.testing.assert_array_equal(built[0].mean, model.stem_moments(batch)[0])
 
 
 class TestBaseWeightImmutability:

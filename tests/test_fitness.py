@@ -134,6 +134,13 @@ class TestFitness:
         with pytest.raises(ValueError, match="negative"):
             fitness(np.array([[-0.1, 1.1]]), stats, source, FitnessConfig(0.4))
 
+    def test_rejects_probs_of_one_or_four_dimensions(self):
+        stats = make_stats([[0.0]], [[1.0]])
+        source = make_source([[0.0]], [[1.0]])
+        for probs in (np.full(2, 0.5), np.full((1, 1, 2, 2), 0.5)):
+            with pytest.raises(ValueError, match="probs must be 2-D or 3-D"):
+                fitness(probs, stats, source, FitnessConfig(0.4))
+
     def test_rejects_dimension_mismatch(self):
         probs = np.full((2, 2), 0.5)
         stats = make_stats([[0.0, 1.0]], [[1.0, 1.0]])

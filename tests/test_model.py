@@ -176,6 +176,28 @@ class TestLayout:
             ("block3", 8, True, True, False),
         ]
 
+    def test_unknown_architecture_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown architecture kind: 'conv'"):
+            ArchitectureConfig(kind="conv", in_dim=3, class_count=2)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("missing", "missing weight: head.b"),
+            ("transposed", r"weight head.w has shape \(4, 8\), expected \(8, 4\)"),
+        ],
+        ids=["missing", "transposed"],
+    )
+    def test_weights_checked_against_the_layout(self, defect, message):
+        cfg = ArchitectureConfig(kind="mlp", in_dim=3, class_count=4, width=8)
+        weights = _init_weights(cfg, np.random.default_rng(0))
+        if defect == "missing":
+            del weights["head.b"]
+        else:
+            weights["head.w"] = weights["head.w"].T
+        with pytest.raises(ValueError, match=message):
+            AdaptableModel(cfg, weights)
+
     def test_block_and_stem_dimensions(self, residual_model, mlp_model):
         assert residual_model.block_count == 4
         assert mlp_model.block_count == 2
@@ -335,6 +357,11 @@ class TestForward:
         with pytest.raises(ValueError, match="offset"):
             residual_model.forward(np.zeros(residual_model.offset_dim + 1), np.zeros((2, 3)))
 
+    def test_rejects_offsets_of_three_dimensions(self, residual_model):
+        offsets = np.zeros((1, 1, residual_model.offset_dim))
+        with pytest.raises(ValueError, match="offset must be 1- or 2-dimensional"):
+            residual_model.forward(offsets, np.zeros((2, 3)))
+
     def test_extreme_offset_flagged_not_raised(self, residual_model):
         offset = np.full(residual_model.offset_dim, 1e308)
         X = np.ones((4, 3))
@@ -465,6 +492,9 @@ class TestPretrain:
         cfg = ArchitectureConfig(kind="mlp", in_dim=2, class_count=2, width=8)
         with pytest.raises(ValueError, match="labels"):
             pretrain(cfg, X, y + 5, seed=0, epochs=1)
+        for labels in (y[:-1], y[:, None]):
+            with pytest.raises(ValueError, match="label vector matching X"):
+                pretrain(cfg, X, labels, seed=0, epochs=1)
 
     @pytest.mark.parametrize(
         "labels",

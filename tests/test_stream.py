@@ -83,6 +83,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="kind:severity:count"):
             parse_domain_sequence("feature_scale:1.5")
 
+    @pytest.mark.parametrize("text", ["", ",", " , ,"], ids=["empty", "comma", "blanks"])
+    def test_blank_specs_are_an_empty_sequence(self, text):
+        with pytest.raises(ValueError, match="domain sequence is empty"):
+            parse_domain_sequence(text)
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_streams(self):

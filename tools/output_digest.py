@@ -26,7 +26,7 @@ The inputs are fixed and there are no options.  The components:
   (2304, 34800) on fixed inputs;
 * ``cmaes`` -- 20 CMA-ES generations at d = 32, 256 and 512 on a fixed
   quadratic;
-* ``shift_score`` -- the detector's score, both ways round, of fixed plain
+* ``shift_score`` -- the detector's score, both ways round, of fixed
   ``EmaStats`` pairs of 1, 8 and 64 features whose variances include zeros,
   values below the floor and values up to 1e150;
 * ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
@@ -137,7 +137,7 @@ def feed_population_forward(h, model) -> None:
 
 
 def feed_shift_scores(h) -> None:
-    """Hash ``shift_score`` both ways round over fixed plain ``EmaStats`` pairs."""
+    """Hash ``shift_score`` both ways round over fixed ``EmaStats`` pairs."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2027)))
     # zero, below the floor, at it, and large enough that the ratio terms dominate
     special = np.array([0.0, 1e-12, 1e-8, 1e150])
