@@ -53,18 +53,24 @@ per usable CPU.  The calling thread runs chunk 0 and a process-wide thread
 pool, made on first use, runs the others; numpy releases the GIL inside the
 GEMMs and the large ufuncs, so the chunks overlap.  Row k of a population is
 bit-identical to the one-offset call, so it cannot depend on the chunk that
-computed it: every chunk count gives the same bits.  ``serve``, ``bind``,
-``compute_source_stats``, training and every one-offset call run on the
-calling thread alone.
+computed it: every chunk count gives the same bits.  Pretraining a model
+whose minibatch GEMMs are as large (``_train_submit``) runs each step's
+backward on two threads: the calling thread goes down the layers, computing
+each layer's input gradient, while the pool computes the weight gradients it
+leaves behind and runs Adam on them.  Those are the one-thread loop's calls
+on the same operands in the same order, so the weights are the same bits on
+any CPU set.  ``serve``, ``bind``, ``compute_source_stats``, a small model's
+training and every one-offset call run on the calling thread alone.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally, in float64 on flat buffers of its own with per-layer views into
 them; adaptation itself never computes gradients.  A ``pretrain`` call makes
 one workspace that every step's forward and backward overwrite, and the
 backward hands each run of layers to Adam as soon as it is done with their
-weights, so gradients take one run's memory, not the parameters': all
+weights, so gradients take two runs' memory, not the parameters': all
 bit-identical to the allocating expressions and the per-weight update after
-the whole backward that they replaced.
+the whole backward that they replaced.  The step's forward stays on the
+calling thread (``CHANGES.md`` has why).
 """
 from __future__ import annotations
 
@@ -254,6 +260,8 @@ def _chunk_count(candidates: int, rows: int, width: int) -> int:
     thread cost more than it saved (``CHANGES.md`` has the crossover).  The
     smallest of ``n`` contiguous chunks holds ``candidates // n`` candidates,
     hence the floor division.  Only the shape and the CPU set decide.
+    Pretraining holds one whole minibatch to the same ``_CHUNK_MIN_WORK``
+    (``_train_submit``).
     """
     per_candidate = rows * width * width
     fewest = max(1, -(-_CHUNK_MIN_WORK // per_candidate))  # candidates per chunk, at least
@@ -263,12 +271,26 @@ def _chunk_count(candidates: int, rows: int, width: int) -> int:
     return min(by_work, _usable_cpus())
 
 
-_EXECUTOR = None  # the population forward's worker threads, made on first use
+def _train_submit(rows: int, width: int):
+    """Where a pretraining step on minibatches of ``rows`` rows runs its backward's lane.
+
+    ``_executor``'s ``submit`` when one minibatch's per-layer GEMM work, its
+    rows times ``width`` squared, reaches ``_CHUNK_MIN_WORK`` and the process
+    may use two CPUs or more (``CHANGES.md`` has the crossover); else
+    ``_run_now``, so a small model keeps to the calling thread.  Only the
+    shape and the CPU set decide.
+    """
+    if rows * width * width < _CHUNK_MIN_WORK or _usable_cpus() < 2:
+        return _run_now  # a small model never asks for the CPU set
+    return _executor().submit
+
+
+_EXECUTOR = None  # the population forward's and pretraining's worker threads, made on first use
 _EXECUTOR_LOCK = threading.Lock()  # so that callers on several threads make one pool
 
 
 def _executor():
-    """The process-wide thread pool that runs every population chunk but the first."""
+    """The process-wide thread pool: population chunks but the first, and pretraining's lanes."""
     global _EXECUTOR
     with _EXECUTOR_LOCK:
         if _EXECUTOR is None:
@@ -597,7 +619,36 @@ def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias, product, 
     return d_xhat
 
 
-def _backward(layers: list[Layer], w: dict, cache, d_logits, grads: dict, finished=lambda i: None):
+def _weight_gradient(h, d, grad_w, grad_b):
+    """``h.T @ d`` into ``grad_w``, ``d.sum(axis=0)`` into ``grad_b``: their ``out=`` forms."""
+    np.matmul(h.T, d, out=grad_w)
+    np.add.reduce(d, axis=0, out=grad_b)
+
+
+class _Ran:
+    """The future ``_run_now`` returns: its task has already run."""
+
+    @staticmethod
+    def result():
+        return None
+
+
+def _run_now(task, *args) -> _Ran:
+    """``submit`` for a pretraining step on the calling thread alone: run ``task`` at once."""
+    task(*args)
+    return _Ran()
+
+
+def _after(previous, task, *args):
+    """Run ``task(*args)`` once ``previous`` is done; an exception there is raised here instead."""
+    previous.result()
+    task(*args)
+
+
+def _backward(
+    layers: list[Layer], w: dict, cache, d_logits, grads: dict, finished=lambda i: None,
+    submit=_run_now,
+):
     """Write the gradient of every weight in ``w`` into the same key of ``grads``.
 
     ``cache`` is ``_forward_train``'s and ``d_logits`` the logit gradient.
@@ -607,28 +658,45 @@ def _backward(layers: list[Layer], w: dict, cache, d_logits, grads: dict, finish
     head, ``d_z @ W.T`` for a layer.  Each gradient is written by
     ``np.matmul(h.T, d, out=)`` or ``np.add.reduce(d, axis=0, out=)``, the
     calls of ``h.T @ d`` and ``d.sum(axis=0)``, so bit-identical to them.
+
+    The calling thread runs the chain each layer's input gradient waits on:
+    the ReLU mask, ``_layer_norm_backward`` (which writes the layer norm's
+    gradients) and ``d_z @ W.T``.  Each part's weight and bias gradients
+    (``_weight_gradient``) and then its ``finished`` call go to ``submit``
+    as one lane: each task waits for the one before it, so they run in this
+    order on any pool, and with ``_run_now`` at once, in the one-thread
+    order.  Layer i's ``d_z`` overwrites layer i + 1's ``xhat``, which the
+    backward is done with (the last layer's goes to scratch), so the lane
+    can still read it.  Before part i's ``_layer_norm_backward``, the caller
+    waits for the lane to finish part i + 2: that frees the gradients the
+    caller is about to write when two runs alternate between two buffers
+    (``_train``).  It returns once the lane is done.
     """
-    per_layer, h, (d_h, spare, product, d_xhat) = cache
-    np.matmul(h.T, d_logits, out=grads["head.w"])
-    np.add.reduce(d_logits, axis=0, out=grads["head.b"])
+    per_layer, h, (d_h, spare, product, d_last) = cache
+    d_zs = [xhat for _, _, xhat, _ in per_layer[1:]] + [d_last]
+    lane = submit(_weight_gradient, h, d_logits, grads["head.w"], grads["head.b"])
     np.matmul(d_logits, w["head.w"].T, out=d_h)
-    finished(len(layers))
+    lane = submit(_after, lane, finished, len(layers))
+    done = {len(layers): lane}  # part -> the lane up to its finished call
     for i in reversed(range(len(layers))):
         name = layers[i].name
         h_in, mask, xhat, inv_std = per_layer[i]
+        if i + 2 in done:
+            done.pop(i + 2).result()
         d_n = np.multiply(d_h, mask, out=spare) if layers[i].relu else d_h
         d_z = _layer_norm_backward(
             d_n, xhat, inv_std, w[f"{name}.ln_scale"],
-            grads[f"{name}.ln_scale"], grads[f"{name}.ln_bias"], product, d_xhat,
+            grads[f"{name}.ln_scale"], grads[f"{name}.ln_bias"], product, d_zs[i],
         )
-        np.matmul(h_in.T, d_z, out=grads[f"{name}.w"])
-        np.add.reduce(d_z, axis=0, out=grads[f"{name}.b"])
+        gradients = grads[f"{name}.w"], grads[f"{name}.b"]
+        lane = submit(_after, lane, _weight_gradient, h_in, d_z, *gradients)
         if i > 0:  # no gradient of the input batch is needed
             np.matmul(d_z, w[f"{name}.w"].T, out=spare)
             if layers[i].skip:
                 spare += d_h  # IEEE addition commutes, so bitwise equal to d_h + d_in
             d_h, spare = spare, d_h
-        finished(i)
+        done[i] = lane = submit(_after, lane, finished, i)
+    lane.result()
 
 
 def _adam_step(weights, grads, moments, step: int, scratch: np.ndarray):
@@ -714,13 +782,19 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
 
     The layers come in list order, then the head.  Beside the weights, the
     call holds the two Adam moments, one ``_train_workspace`` that every step
-    overwrites and gradients for one run, all freed on return, before the
+    overwrites and gradients for two runs, all freed on return, before the
     model copies the weights.  A run is the parts the backward finishes in a
     row (the head, then layers from the last) until they hold
     ``_ADAM_CHUNK`` parameters, or the first layer is done; ``_adam_step``
     updates it then, after the step's last read of its weights and from the
     same gradient bits, so every weight is bit-identical to an update after
-    the whole backward.
+    the whole backward.  Runs take turns at the two gradient buffers.
+
+    When one minibatch is large enough (``_train_submit``), ``_backward``
+    hands each part's weight gradients and Adam step to ``_executor``'s
+    threads while the calling thread goes on down the layers; otherwise the
+    same calls run on the calling thread alone.  Either way they are the
+    same calls on the same operands, so every weight gets the same bits.
     """
     layers = config.layers()
     weights = _flat_views(flat_weights, shapes)
@@ -733,18 +807,22 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             runs[i], hi = (lo, hi), lo
     # each its own array: one buffer for all of them, freed, raised glibc's
     # trim threshold, and each later set-up then left ~16 MB in the heap
-    flat_grads = np.empty(max(hi - lo for lo, hi in runs.values()))
+    flat_grads = np.empty((min(2, len(runs)), max(hi - lo for lo, hi in runs.values())))
     moments = np.zeros((2, flat_weights.size))
-    scratch = np.empty((2, min(flat_grads.size, _ADAM_CHUNK)))
-    workspace = _train_workspace(config, min(len(X), _TRAIN_BATCH))
-    grads = {}
-    for lo, hi in runs.values():
-        grads |= _flat_views(flat_grads, {k: v for k, v in shapes.items() if lo <= starts[k] < hi})
+    scratch = np.empty((2, min(flat_grads.shape[1], _ADAM_CHUNK)))
+    rows = min(len(X), _TRAIN_BATCH)
+    workspace = _train_workspace(config, rows)
+    submit = _train_submit(rows, config.width)
+    grads, run_grads = {}, {}
+    for turn, (i, (lo, hi)) in enumerate(runs.items()):
+        run_grads[i] = flat_grads[turn % 2, : hi - lo]
+        run_shapes = {k: v for k, v in shapes.items() if lo <= starts[k] < hi}
+        grads |= _flat_views(run_grads[i], run_shapes)
 
     def finished(i):
         if i in runs:
             lo, hi = runs[i]
-            _adam_step(flat_weights[lo:hi], flat_grads[: hi - lo], moments[:, lo:hi], step, scratch)
+            _adam_step(flat_weights[lo:hi], run_grads[i], moments[:, lo:hi], step, scratch)
 
     step = 0
     for _ in range(epochs):
@@ -758,7 +836,7 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             d_logits -= onehot[idx]
             d_logits /= idx.shape[0]
             step += 1
-            _backward(layers, weights, cache, d_logits, grads, finished)
+            _backward(layers, weights, cache, d_logits, grads, finished, submit)
 
 
 class _RunningMoments:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import pace.model
+from pace.bench.run import RunConfig
 from pace.fitness import FitnessConfig, fitness
 from pace.model import (
     AdaptableModel,
@@ -34,6 +37,31 @@ def mlp_model():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
     cfg = ArchitectureConfig(kind="mlp", in_dim=3, class_count=4, width=8)
     return AdaptableModel(cfg, _init_weights(cfg, rng))
+
+
+@pytest.fixture
+def split_pretraining(monkeypatch):
+    """Call with a CPU count: pretraining of any shape then runs its backward on a fresh pool.
+
+    The pool made under the patched count is shut down afterwards, and the
+    process's own pool, if any, is back in place.  Meanwhile Python switches
+    threads every 10 us, so that the two threads interleave at many more
+    points.
+    """
+
+    def split(cpus):
+        monkeypatch.setattr(pace.model, "_CHUNK_MIN_WORK", 0)
+        monkeypatch.setattr(pace.model, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pace.model, "_EXECUTOR", None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield split
+    finally:
+        sys.setswitchinterval(interval)
+        if pace.model._EXECUTOR is not None:
+            pace.model._EXECUTOR.shutdown()
 
 
 def _reference_train(config: ArchitectureConfig, w: dict, X, onehot):
@@ -451,6 +479,20 @@ class TestSourceStats:
             compute_source_stats(mlp_model, [])
 
 
+# (kind, _ADAM_CHUNK, the run sizes of one step) at width 9, in_dim 3, 4 classes, 3 blocks
+ADAM_RUNS = [
+    ("mlp", 1, [40, 108, 54]),
+    ("mlp", 120, [148, 54]),
+    ("mlp", 148, [148, 54]),
+    ("residual", 1, [40, 108, 108, 108, 54]),
+    ("residual", 120, [148, 216, 54]),
+]
+ADAM_RUN_IDS = [
+    "mlp-run-per-part", "mlp-run-of-two", "mlp-run-of-exactly-the-chunk",
+    "residual-run-per-part", "residual-runs-of-two",
+]
+
+
 class TestPretrain:
     def test_linearly_separable_two_blobs(self):
         X, y = two_blob_data()
@@ -545,14 +587,7 @@ class TestPretrain:
                 assert model.weights[key].dtype == ref.dtype, key
                 np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
 
-    @pytest.mark.parametrize("kind, chunk, runs", [
-        ("mlp", 1, [40, 108, 54]),
-        ("mlp", 120, [148, 54]),
-        ("mlp", 148, [148, 54]),
-        ("residual", 1, [40, 108, 108, 108, 54]),
-        ("residual", 120, [148, 216, 54]),
-    ], ids=["mlp-run-per-part", "mlp-run-of-two", "mlp-run-of-exactly-the-chunk",
-            "residual-run-per-part", "residual-runs-of-two"])
+    @pytest.mark.parametrize("kind, chunk, runs", ADAM_RUNS, ids=ADAM_RUN_IDS)
     def test_adam_runs_match_per_key_adam_reference(self, kind, chunk, runs, monkeypatch):
         """Bit for bit the per-weight allocating loop, whichever parts share an Adam run.
 
@@ -583,6 +618,108 @@ class TestPretrain:
             assert model.weights[key].dtype == ref.dtype, key
             np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
 
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize(
+        "samples", [301, 257], ids=["odd-last-minibatch", "one-row-last-minibatch"]
+    )
+    @pytest.mark.parametrize("kind, chunk, runs", ADAM_RUNS, ids=ADAM_RUN_IDS)
+    def test_backward_on_the_pool_matches_per_key_adam_reference(
+        self, kind, chunk, runs, samples, cpus, split_pretraining, monkeypatch
+    ):
+        """With the backward's lane on a pool of 1 or 3 workers, the same bits and Adam calls.
+
+        The split is forced on a model far below ``_CHUNK_MIN_WORK``.  301
+        samples leave a last minibatch of 45 rows, 257 one of a single row;
+        the Adam runs are those of ``test_adam_runs_match_per_key_adam_reference``,
+        so some span two parts.  ``_adam_step`` is still called once per run
+        per step, in the backward's order, and never on the calling thread.
+        """
+        rng = np.random.default_rng(7)
+        cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=9, blocks=3)
+        X = rng.standard_normal((samples, 3))
+        y = rng.integers(0, 4, samples)
+        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
+        split_pretraining(cpus)
+        sizes, threads = [], set()
+        adam_step = pace.model._adam_step
+
+        def spy(weights, *args):
+            sizes.append(weights.size)
+            threads.add(threading.current_thread())
+            adam_step(weights, *args)
+
+        monkeypatch.setattr(pace.model, "_ADAM_CHUNK", chunk)
+        monkeypatch.setattr(pace.model, "_adam_step", spy)
+        model = pretrain(cfg, X, y, seed=5, epochs=3)
+        assert sizes == runs * 9  # 3 epochs of 3 minibatches
+        assert threads and threading.current_thread() not in threads
+        for key, ref in reference.weights.items():
+            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
+
+    @pytest.mark.parametrize("shape, cpus, pooled", [
+        ("default", 2, False), ("default", 4, False), ("wide", 1, False), ("wide", 2, True),
+    ])
+    def test_only_a_large_model_on_two_cpus_or_more_trains_on_the_pool(
+        self, shape, cpus, pooled, monkeypatch
+    ):
+        """``RunConfig()``'s model never asks for the pool; ``wide-adapt``'s does, given two CPUs.
+
+        One 128-row minibatch of the default mlp (width 64) is 0.5 M
+        multiply-adds per layer, below ``_CHUNK_MIN_WORK``; one of the wide
+        residual model (width 256) is 8.4 M, at it.
+        """
+        if shape == "default":
+            cfg = RunConfig().architecture()
+        else:
+            cfg = ArchitectureConfig(kind="residual", in_dim=32, class_count=8, width=256, blocks=8)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((300, cfg.in_dim))
+        y = rng.integers(0, cfg.class_count, 300)
+        calls = []
+        executor = pace.model._executor
+
+        def spy():
+            calls.append(threading.current_thread())
+            return executor()
+
+        monkeypatch.setattr(pace.model, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pace.model, "_executor", spy)
+        pretrain(cfg, X, y, seed=0, epochs=1)
+        assert bool(calls) == pooled
+
+    def test_failure_on_the_pool_propagates_and_the_next_call_is_clean(
+        self, split_pretraining, monkeypatch
+    ):
+        """An exception in a pool task leaves ``pretrain``; the next call gives the reference bits.
+
+        The patched ``_adam_step`` fails on its fourth call, in the middle of
+        the first step's backward, with lane tasks still queued behind it.
+        """
+        rng = np.random.default_rng(7)
+        cfg = ArchitectureConfig(kind="residual", in_dim=3, class_count=4, width=9, blocks=3)
+        X = rng.standard_normal((301, 3))
+        y = rng.integers(0, 4, 301)
+        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
+        split_pretraining(2)
+        monkeypatch.setattr(pace.model, "_ADAM_CHUNK", 1)
+        adam_step = pace.model._adam_step
+        threads = []
+
+        def failing(*args):
+            threads.append(threading.current_thread())
+            if len(threads) == 4:
+                raise RuntimeError("Adam step failed")
+            adam_step(*args)
+
+        monkeypatch.setattr(pace.model, "_adam_step", failing)
+        with pytest.raises(RuntimeError, match="Adam step failed"):
+            pretrain(cfg, X, y, seed=5, epochs=3)
+        assert len(threads) == 4 and threading.current_thread() not in threads
+        monkeypatch.setattr(pace.model, "_adam_step", adam_step)
+        model = pretrain(cfg, X, y, seed=5, epochs=3)
+        for key, ref in reference.weights.items():
+            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
+
     @pytest.mark.parametrize("setting, value", [
         ("epochs", -1), ("epochs", 2.5), ("epochs", 3.0), ("epochs", "3"),
         ("seed", -1), ("seed", 1.5), ("seed", None),
@@ -603,19 +740,21 @@ class TestPretrain:
             np.testing.assert_array_equal(model.weights[key], arr, err_msg=key)
 
     def test_pretrain_peak_allocation(self):
-        """Pretraining holds three parameter-sized float64 buffers, one workspace and one run.
+        """Pretraining holds three parameter-sized float64 buffers, one workspace and two runs.
 
         The bound is in units of four parameter-sized buffers (P = 541 448
         elements each here), the weights, the gradients and the two Adam
-        moments that pretraining once held; gradients now take one Adam run.
-        On top of the weights and the moments (0.75): a gradient buffer of the
-        largest run, the head and the last block (0.03); the two chunk-sized
-        Adam scratch arrays (0.06); and one workspace of 128 rows, two
-        (128, 256) float64 arrays and a boolean mask per layer, and four
-        (128, 256) scratch arrays (0.34).  That adds up to about 1.19; the bound,
-        fixed before measuring, is 1.25.  It was 1.75 while every step kept
-        two minibatches' caches and a parameter-sized gradient buffer, where
-        numpy 2.4 measured 1.65.
+        moments that pretraining once held; gradients now take two Adam runs.
+        On top of the weights and the moments (0.75): two gradient buffers of
+        the largest run, the head and the last block (0.06), which runs take
+        turns at so that the pool can step one while the backward writes the
+        next; the two chunk-sized Adam scratch arrays (0.06); and one
+        workspace of 128 rows, two (128, 256) float64 arrays and a boolean
+        mask per layer, and four (128, 256) scratch arrays (0.34).  That adds
+        up to about 1.22; the bound, fixed before measuring, is 1.25.  It was
+        1.75 while every step kept two minibatches' caches and a
+        parameter-sized gradient buffer, where numpy 2.4 measured 1.65; with
+        one gradient buffer numpy 2.4 measured 1.20, with two 1.23.
         """
         cfg = ArchitectureConfig(kind="residual", in_dim=32, class_count=8, width=256, blocks=8)
         rng = np.random.default_rng(9)
@@ -623,7 +762,9 @@ class TestPretrain:
         y = rng.integers(0, 8, 300)
         parameters = 32 * 256 + 8 * 256 * 256 + 9 * 3 * 256 + 256 * 8 + 8
         buffer_bytes = 4 * parameters * 8
-        pretrain(cfg, X[:10], y[:10], seed=0, epochs=1)  # warm-up: no one-off allocation counts
+        # warm-up: no one-off allocation counts, the thread pool that a full
+        # 128-row minibatch of this shape starts on two CPUs included
+        pretrain(cfg, X[:128], y[:128], seed=0, epochs=1)
         tracemalloc.start()
         try:
             pretrain(cfg, X, y, seed=0, epochs=1)

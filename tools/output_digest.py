@@ -31,12 +31,20 @@ The inputs are fixed and there are no options.  The components:
   values below the floor and values up to 1e150;
 * ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
   builds for ``RunConfig(seed=0..4)`` and for sub-stream 0 of the
-  ``wide-adapt`` benchmark workload;
+  ``wide-adapt`` benchmark workload; that last model is the one whose
+  pretraining runs its backward on more than one usable CPU;
 * ``forward.wide`` -- the probabilities and block moments of one K = 12
   population forward of that ``wide-adapt`` model on a fixed batch: the shape
   whose population forward runs in chunks on more than one usable CPU, so
   equal lines under ``taskset -c 0`` and on more CPUs mean the chunks move
   no bit;
+* ``weights.wide.partial`` -- the weights of the ``wide-adapt``
+  architecture pretrained for 1 epoch on 1001 clean source samples, drawn as
+  ``prepare_assets`` draws its own, so that the last minibatch holds 105
+  rows.  This is the shape whose pretraining runs its backward on the
+  thread pool when two CPUs are usable, as the full-size case in the
+  ``weights`` line does, so equal lines under ``taskset -c 0`` and on more
+  CPUs mean the pool moves no bit, at a full and at an odd-row minibatch;
 * ``stream`` -- the stream fingerprint and every batch's features, labels,
   domain id and index, for ``RunConfig(seed=0..4)``, sub-stream 0 of the
   ``recurring-toy`` and ``wide-adapt`` workloads, and a stream of severity
@@ -77,8 +85,9 @@ from pace.bench.run import (  # noqa: E402
     prepare_assets,
     run_prepared,
 )
-from pace.bench.stream import generate_stream  # noqa: E402
+from pace.bench.stream import generate_stream, make_source_batches  # noqa: E402
 from pace.controller import EmaStats, PaceController, shift_score  # noqa: E402
+from pace.model import pretrain  # noqa: E402
 from pace.projection import FastfoodProjector  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -136,6 +145,14 @@ def feed_population_forward(h, model) -> None:
     feed(h, (probs, stats.means, stats.stds))
 
 
+def feed_partial_pretraining(h, config) -> None:
+    """Hash ``config``'s model pretrained 1 epoch on 1001 samples: 7 full minibatches, then 105 rows."""
+    batches = make_source_batches(config.stream_config(), 1001, 256, tag=1)
+    X = np.concatenate([b[0] for b in batches])
+    y = np.concatenate([b[1] for b in batches])
+    feed(h, pretrain(config.architecture(), X, y, seed=config.seed, epochs=1).weights)
+
+
 def feed_shift_scores(h) -> None:
     """Hash ``shift_score`` both ways round over fixed ``EmaStats`` pairs."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2027)))
@@ -157,7 +174,7 @@ def main() -> int:
     digests["presets.pace.rounds3"] = hashlib.sha256()
     for name in (
         "run_prepared", "run_dir", "transform", "cmaes", "shift_score", "weights",
-        "source_stats", "gamma", "forward.wide", "stream",
+        "source_stats", "gamma", "forward.wide", "weights.wide.partial", "stream",
     ):
         digests[name] = hashlib.sha256()
 
@@ -180,6 +197,7 @@ def main() -> int:
             feed(digests["gamma"], gamma)
             if i >= len(SEEDS):
                 feed_population_forward(digests["forward.wide"], model)
+                feed_partial_pretraining(digests["weights.wide.partial"], base)
                 continue  # the wide-adapt assets only
             for method in METHODS:
                 config = dataclasses.replace(base, method=method)
