@@ -64,21 +64,12 @@ class TestInit:
             cmaes.init(3, tau0=0.0, population_size=4)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 32, 256])
-    def test_factors_are_those_eigh_gives_the_identity(self, d):
-        eigvals, basis = np.linalg.eigh(np.eye(d))
+    def test_factors_of_the_identity(self, d):
         state = cmaes.init(d, tau0=0.1, population_size=12)
-        np.testing.assert_array_equal(state.eig_sqrt, np.sqrt(eigvals))
-        np.testing.assert_array_equal(state.eig_basis, basis)
-        assert state.eig_iteration == 0
-
-    def test_init_and_restart_run_no_eigendecomposition(self, monkeypatch):
-        def refuse(_):
-            raise AssertionError("eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        state = cmaes.init(16, tau0=0.1, population_size=12)
-        restarted = cmaes.reinitialized(state, np.ones(16), 0.2)
-        np.testing.assert_array_equal(restarted.eig_basis, np.eye(16))
+        np.testing.assert_array_equal(state.factor, np.eye(d))
+        np.testing.assert_array_equal(state.factor_inv, np.eye(d))
+        np.testing.assert_array_equal(state.covariance, np.eye(d))
+        np.testing.assert_array_equal(state.eig_sqrt, np.ones(d))
 
     def test_weights_non_increasing_and_normalized(self):
         state = cmaes.init(10, tau0=1.0, population_size=12)
@@ -110,22 +101,12 @@ class TestSamplePopulation:
         b = cmaes.sample_population(state, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
-    def test_repair_path_restores_sampling(self):
-        state = cmaes.init(3, tau0=0.1, population_size=4)
-        broken = state.covariance.copy()
-        broken[0, 0] = -1.0  # not positive definite
-        covariance, eig_sqrt, eig_basis = cmaes._repair_and_factorize(broken)
-        repaired = dataclasses.replace(
-            state, covariance=covariance, eig_sqrt=eig_sqrt, eig_basis=eig_basis
-        )
-        assert np.linalg.eigvalsh(repaired.covariance).min() > 0
-        pop = cmaes.sample_population(repaired, np.random.default_rng(0))
-        assert np.all(np.isfinite(pop))
-
-    def test_repair_of_a_nan_covariance_gives_up(self):
-        # no jitter makes a NaN covariance factorizable
-        with pytest.raises(np.linalg.LinAlgError, match="repair failed"):
-            cmaes._repair_and_factorize(np.full((3, 3), np.nan))
+    def test_candidates_are_mean_plus_step_size_times_the_factor(self):
+        state = _generations(cmaes.init(16, m0=np.ones(16), tau0=0.3), 5, seed=1)[-1]
+        assert not np.array_equal(state.factor, np.eye(16))
+        z = np.random.default_rng(9).standard_normal((state.population_size, 16))
+        pop = cmaes.sample_population(state, np.random.default_rng(9))
+        np.testing.assert_array_equal(pop, state.mean + state.step_size * z @ state.factor.T)
 
 
 class TestUpdate:
@@ -235,93 +216,144 @@ def _generations(state, count, seed, fitness=sphere):
     return states
 
 
-class TestEigenSchedule:
-    # every (d, K) the tests above use, plus the toy presets' d=32, K=12
-    @pytest.mark.parametrize(
-        "d,population",
-        [(3, 4), (3, 6), (4, 4), (4, 6), (4, 8), (5, 8), (6, 10), (8, 10), (32, 12)],
+def _blend(state, ranked, new_state):
+    """The canonical covariance update, coded directly on the covariance.
+
+    ``(1 - c1_adj - c_mu) C + c_1 p_c p_c^T + c_mu sum_i w_i y_i y_i^T`` with
+    ``new_state``'s ``p_c`` and the ``h_sigma`` its ``p_sigma`` gives.
+    """
+    hp, d = state.hyper, state.dim
+    order = np.argsort([r.fitness for r in ranked], kind="stable")
+    y = (np.stack([ranked[i].vector for i in order[: hp.mu]]) - state.mean) / state.step_size
+    c_s, c_c = hp.c_sigma, hp.c_c
+    h_sigma = float(
+        np.linalg.norm(new_state.path_sigma)
+        / np.sqrt(1 - (1 - c_s) ** (2 * new_state.iteration)) / hp.chi_n
+        < 1.4 + 2 / (d + 1)
     )
-    def test_small_d_refactorizes_every_generation(self, d, population):
-        start = cmaes.init(d, m0=np.ones(d), tau0=0.3, population_size=population)
-        assert start.hyper.eig_interval < 1
-        for state in _generations(start, 12, seed=d)[1:]:
-            _, eig_sqrt, eig_basis = cmaes._repair_and_factorize(state.covariance)
-            assert state.eig_iteration == state.iteration
-            np.testing.assert_array_equal(state.eig_sqrt, eig_sqrt)
-            np.testing.assert_array_equal(state.eig_basis, eig_basis)
+    c1_adj = hp.c_1 * (1 - (1 - h_sigma) * c_c * (2 - c_c))
+    return (
+        (1 - c1_adj - hp.c_mu) * state.covariance
+        + hp.c_1 * np.outer(new_state.path_c, new_state.path_c)
+        + hp.c_mu * (y.T * hp.weights) @ y
+    )
 
-    def test_d256_refreshes_every_fifth_generation(self):
-        start = cmaes.init(256, m0=np.ones(256), tau0=0.3, population_size=12)
-        assert 4 < start.hyper.eig_interval < 5
-        states = _generations(start, 16, seed=0)
-        refreshed = [s.iteration for s in states[1:] if s.eig_iteration == s.iteration]
-        assert refreshed == [5, 10, 15]
-        for state in states:
-            last = states[state.eig_iteration]
-            assert state.eig_sqrt is last.eig_sqrt
-            assert state.eig_basis is last.eig_basis
 
-    def test_sampling_and_whitening_use_stale_factors(self):
-        states = _generations(cmaes.init(256, m0=np.ones(256), tau0=0.3), 3, seed=1)
-        state = states[-1]
-        assert state.eig_iteration == 0
-        assert not np.array_equal(state.covariance, np.eye(256))
-        z = np.random.default_rng(9).standard_normal((state.population_size, 256))
-        stale = state.mean + state.step_size * (z * state.eig_sqrt) @ state.eig_basis.T
-        pop = cmaes.sample_population(state, np.random.default_rng(9))
-        np.testing.assert_array_equal(pop, stale)
-        _, eig_sqrt, eig_basis = cmaes._repair_and_factorize(state.covariance)
-        fresh = state.mean + state.step_size * (z * eig_sqrt) @ eig_basis.T
-        assert not np.allclose(pop, fresh)
+def _blend_error(state, ranked, new_state):
+    expected = _blend(state, ranked, new_state)
+    return np.abs(new_state.covariance - expected).max() / np.abs(expected).max()
 
+
+def _inverse_error(state):
+    return np.abs(state.factor @ state.factor_inv - np.eye(state.dim)).max()
+
+
+class TestFactorUpdate:
+    @pytest.mark.parametrize("d,start", [(16, 0), (16, 20), (3, 10), (64, 10)])
+    def test_one_update_is_the_canonical_blend(self, d, start):
+        state = _generations(cmaes.init(d, m0=np.ones(d), tau0=0.3), start, seed=d)[-1]
+        pop = cmaes.sample_population(state, np.random.default_rng(5))
         ranked = [RankedCandidate(v, float(sphere(v))) for v in pop]
         new_state, _ = cmaes.update(state, ranked)
+        assert _blend_error(state, ranked, new_state) < 1e-14
+        assert _inverse_error(new_state) < 1e-13
+
+    def test_paths_whiten_with_the_inverse_factor(self):
+        state = _generations(cmaes.init(32, m0=np.ones(32), tau0=0.3), 10, seed=1)[-1]
+        pop = cmaes.sample_population(state, np.random.default_rng(2))
+        new_state, _ = cmaes.update(state, [RankedCandidate(v, float(sphere(v))) for v in pop])
         hp = state.hyper
         y_w = (new_state.mean - state.mean) / state.step_size
-        whitened = state.eig_basis @ ((state.eig_basis.T @ y_w) / state.eig_sqrt)
-        expected = (1 - hp.c_sigma) * state.path_sigma + np.sqrt(
-            hp.c_sigma * (2 - hp.c_sigma) * hp.mu_eff
-        ) * whitened
+        coef = np.sqrt(hp.c_sigma * (2 - hp.c_sigma) * hp.mu_eff)
+        expected = (1 - hp.c_sigma) * state.path_sigma + coef * (state.factor_inv @ y_w)
         np.testing.assert_allclose(new_state.path_sigma, expected, rtol=1e-12, atol=1e-14)
 
-    def test_refresh_adds_no_covariance_sized_array(self):
-        # tracemalloc sees numpy's array buffers, not LAPACK's workspace
+    def test_full_forgetting_configuration_still_adapts(self):
+        # c_1 + c_mu = 1 at d=2, population 80: alpha is 0 whenever h_sigma is
+        # 1, so M is W diag(beta) W^T alone
+        state = cmaes.init(2, m0=np.ones(2), tau0=0.3, population_size=80)
+        assert 1 - state.hyper.c_1 - state.hyper.c_mu == 0
+        states = _generations(state, 60, seed=4)
+        assert all(s.iteration == i for i, s in enumerate(states))
+        assert sphere(states[-1].mean) < 1e-12
+        assert _inverse_error(states[-1]) < 1e-10
+
+    def test_eig_sqrt_is_the_root_of_the_covariance_spectrum(self):
+        state = _generations(cmaes.init(24, m0=np.ones(24), tau0=0.3), 40, seed=6)[-1]
+        expected = np.sqrt(np.linalg.eigvalsh(state.covariance))
+        np.testing.assert_allclose(np.sort(state.eig_sqrt), expected, rtol=1e-12)
+        assert expected.max() / expected.min() > 1.1
+
+    def test_non_finite_step_rejects_and_keeps_the_state(self):
+        d = 8
+        state = _generations(cmaes.init(d, m0=np.ones(d), tau0=0.3), 5, seed=0)[-1]
+        before = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        before = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in before.items()}
+        far = 1e200 * np.random.default_rng(1).standard_normal((state.population_size, d))
+        ranked = [RankedCandidate(v, float(i)) for i, v in enumerate(far)]
+        new_state, rel = cmaes.update(state, ranked)
+        assert new_state is state
+        assert np.isnan(rel)
+        for name, value in before.items():
+            if isinstance(value, np.ndarray):
+                assert getattr(state, name).tobytes() == value.tobytes()
+            else:
+                assert getattr(state, name) is value
+
+    @pytest.mark.parametrize("d", [3, 32, 256])
+    def test_no_eigendecomposition_larger_than_mu_plus_one(self, d, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        state = cmaes.init(d, m0=np.ones(d), tau0=0.3, population_size=12)
+        state = _generations(state, 4, seed=3)[-1]
+        state = _generations(cmaes.reinitialized(state, np.ones(d), 0.2), 2, seed=4)[-1]
+        assert len(sizes) == 6
+        assert max(sizes) <= state.hyper.mu + 1
+
+    def test_update_allocates_one_pair_of_factors(self):
+        # tracemalloc sees numpy's array buffers, not LAPACK's workspace; the
+        # new A and A^-1 are two d x d arrays, and nothing else may come near
+        # another one
         d = 512
-        states = _generations(cmaes.init(d, m0=np.ones(d), tau0=0.3), 9, seed=2)
-        rng = np.random.default_rng(4)
-        peaks = {}
-        for state in states[7:]:
-            before = state.covariance.copy()
-            ranked = [RankedCandidate(v, float(sphere(v)))
-                      for v in cmaes.sample_population(state, rng)]
-            tracemalloc.start()
-            try:
-                live = tracemalloc.get_traced_memory()[0]
-                new_state, _ = cmaes.update(state, ranked)
-                peak = tracemalloc.get_traced_memory()[1] - live
-            finally:
-                tracemalloc.stop()
-            np.testing.assert_array_equal(state.covariance, before)
-            peaks[new_state.eig_iteration == new_state.iteration] = peak
-        assert set(peaks) == {False, True}
-        assert peaks[True] - peaks[False] < 0.5 * d * d * 8
+        state = _generations(cmaes.init(d, m0=np.ones(d), tau0=0.3), 3, seed=2)[-1]
+        factor, factor_inv = state.factor.copy(), state.factor_inv.copy()
+        ranked = [RankedCandidate(v, float(sphere(v)))
+                  for v in cmaes.sample_population(state, np.random.default_rng(4))]
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            new_state, _ = cmaes.update(state, ranked)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(state.factor, factor)
+        np.testing.assert_array_equal(state.factor_inv, factor_inv)
+        assert new_state.iteration == state.iteration + 1
+        assert peak < 2.25 * d * d * 8
 
 
-def test_long_noisy_stream_stays_healthy():
-    """600 generations at d=64 (a refresh every 2nd) on a noisy sphere, no stop rule."""
+@pytest.mark.parametrize("d,generations", [(64, 600), (16, 3000)])
+def test_long_noisy_stream_stays_healthy(d, generations):
+    """A noisy sphere, no stop rule: A A^-1 stays near I and every update near the blend."""
     noise = np.random.default_rng(2)
-    state = cmaes.init(64, m0=np.ones(64), tau0=0.5, population_size=12)
-    assert 1 < state.hyper.eig_interval < 2
+    state = cmaes.init(d, m0=np.ones(d), tau0=0.5, population_size=12)
     sample_rng = np.random.default_rng(3)
-    refreshes = 0
-    for _ in range(600):
+    for _ in range(generations):
         pop = cmaes.sample_population(state, sample_rng)
         assert np.all(np.isfinite(pop))
         ranked = [RankedCandidate(v, float(sphere(v) + 0.1 * noise.standard_normal()))
                   for v in pop]
-        state, _ = cmaes.update(state, ranked)
-        assert np.isfinite(state.step_size) and state.step_size > 0
-        if state.eig_iteration == state.iteration:
-            refreshes += 1
-            np.linalg.cholesky(state.covariance)  # raises unless positive definite
-    assert refreshes == 300
+        new_state, _ = cmaes.update(state, ranked)
+        assert new_state.iteration == state.iteration + 1
+        assert np.isfinite(new_state.step_size) and new_state.step_size > 0
+        # measured at most 3.0e-14 and 2.8e-13 on these streams
+        assert _blend_error(state, ranked, new_state) < 1e-12
+        assert _inverse_error(new_state) < 1e-11
+        state = new_state
+    np.linalg.cholesky(state.covariance)  # raises unless positive definite

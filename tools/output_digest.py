@@ -25,7 +25,7 @@ The inputs are fixed and there are no options.  The components:
 * ``transform`` -- the projector at (d, D) = (32, 256), (256, 3584) and
   (2304, 34800) on fixed inputs;
 * ``cmaes`` -- 20 CMA-ES generations at d = 32, 256 and 512 on a fixed
-  quadratic;
+  quadratic: mean, step size, covariance, mean shift and both factors;
 * ``shift_score`` -- the detector's score, both ways round, of fixed
   ``EmaStats`` pairs of 1, 8 and 64 features whose variances include zeros,
   values below the floor and values up to 1e150;
@@ -54,11 +54,11 @@ It reads only the public program API and the benchmark's workload table, so
 the same file runs on any checkout that has them.  About 45 s on a 2-CPU x86
 box.
 
-The BLAS thread count changes the rounding of some products (the ``cmaes``
-line moves with it), so before numpy loads the tool sets
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
-unless they are already set, as ``perfbench/run.py`` does.  Digests are
-comparable only between runs at the same setting.
+Every line is equal at one and at two OpenBLAS threads, and CI checks that.
+A BLAS thread count may still change the rounding of some products in other
+BLAS builds, so before numpy loads the tool sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 unless they are already set,
+as ``perfbench/run.py`` does.
 """
 from __future__ import annotations
 
@@ -229,7 +229,7 @@ def main() -> int:
             ]
             state, rel = cmaes.update(state, ranked)
             feed(digests["cmaes"], (state.mean, state.step_size, state.covariance, rel))
-            feed(digests["cmaes"], (state.eig_sqrt, state.eig_basis, state.eig_iteration))
+            feed(digests["cmaes"], (state.factor, state.factor_inv))
 
     feed_shift_scores(digests["shift_score"])
 
