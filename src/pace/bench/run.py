@@ -114,10 +114,12 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        # every integer count is stored as a Python int, which JSON takes and np.int64 not
+        # every integer count is stored as a Python int, which JSON takes and np.int64 not;
+        # a bool is left for check_int to refuse
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", int) and isinstance(value, numbers.Integral):
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if f.type in ("int", int) and integral:
                 object.__setattr__(self, f.name, int(value))
         check_int(self.train_epochs, "train_epochs", minimum=0)
         for name in ("train_samples", "source_samples", "calibration_batches"):

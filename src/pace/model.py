@@ -67,14 +67,19 @@ small model's training and every one-offset call run on the calling thread
 alone.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
-locally, in float64 on flat buffers of its own with per-layer views into
-them; adaptation itself never computes gradients.  A ``pretrain`` call makes
-one workspace that every step's forward and backward overwrite, and the
-backward hands each run of layers to Adam as soon as it is done with their
-weights, so gradients take two runs' memory, not the parameters': all
-bit-identical to the allocating expressions and the per-weight update after
-the whole backward that they replaced.  On two threads the step's forward
-writes the same workspace, each thread its own rows.
+locally, in float32 on flat buffers of its own with per-layer views into
+them; adaptation itself never computes gradients.  The initial weights are
+float64 draws in a fixed order, rounded to float32 once; the inputs are cast
+once per call and the logit gradient, whose softmax is float64, once per
+step, so every training GEMM is single precision.  The training functions
+work in the weights' dtype, and the model casts the first layer exactly back
+into float64.  A ``pretrain`` call makes one workspace that every step's
+forward and backward overwrite, and the backward hands each run of layers to
+Adam as soon as it is done with their weights, so gradients take two runs'
+memory, not the parameters': all bit-identical to the allocating expressions
+and the per-weight update after the whole backward that they replaced.  On
+two threads the step's forward writes the same workspace, each thread its
+own rows.
 """
 from __future__ import annotations
 
@@ -550,8 +555,8 @@ def _flat_views(buffer: np.ndarray, shapes: dict) -> dict:
     return views
 
 
-def _train_workspace(config: ArchitectureConfig, rows: int) -> dict:
-    """The arrays a pretraining step writes, made once at ``rows`` rows.
+def _train_workspace(config: ArchitectureConfig, rows: int, dtype) -> dict:
+    """The arrays a pretraining step writes, made once at ``rows`` rows in the weights' ``dtype``.
 
     A step of n <= ``rows`` rows writes the leading n rows of ``inputs``, the
     minibatch; of ``out``, ``xhat``, ``inv_std`` and the ReLU ``mask``, one
@@ -560,9 +565,10 @@ def _train_workspace(config: ArchitectureConfig, rows: int) -> dict:
     """
     shape = (len(config.layers()), rows, config.width)
     return {
-        "inputs": np.empty((rows, config.in_dim)), "out": np.empty(shape),
-        "xhat": np.empty(shape), "inv_std": np.empty((*shape[:2], 1)), "mask": np.empty(shape, bool),
-        "logits": np.empty((rows, config.class_count)), "scratch": np.empty((4, *shape[1:])),
+        "inputs": np.empty((rows, config.in_dim), dtype), "out": np.empty(shape, dtype),
+        "xhat": np.empty(shape, dtype), "inv_std": np.empty((*shape[:2], 1), dtype),
+        "mask": np.empty(shape, bool), "logits": np.empty((rows, config.class_count), dtype),
+        "scratch": np.empty((4, *shape[1:]), dtype),
     }
 
 
@@ -581,7 +587,7 @@ def _run_now(task, *args) -> _Ran:
 
 
 def _forward_train(layers: list[Layer], w: dict, X: np.ndarray, workspace: dict, submit=_run_now):
-    """Float64 forward pass over the weight dict ``w`` into ``workspace`` (zero offsets).
+    """Forward pass over the weight dict ``w`` into ``workspace`` (zero offsets), in ``w``'s dtype.
 
     Returns the logits and the cache, views of the workspace's leading
     ``len(X)`` rows.  The cache is ``(h_in, relu_mask, xhat, inv_std)`` per
@@ -758,15 +764,17 @@ def _adam_step(weights, grads, moments, step: int, scratch: np.ndarray):
     ``m = m*beta1 + g*(1-beta1)``, ``v = v*beta2 + (g*(1-beta2))*g`` and
     ``w -= lr*(m/c1) / (sqrt(v/c2)+eps)`` run in that order; Adam is
     elementwise, so every weight is bit-identical to the allocating update of
-    each weight array on its own, whatever the runs and chunks.  The two rows
-    of ``scratch`` hold the temporaries: two chunk-sized arrays.
+    each weight array on its own, whatever the runs and chunks.  The
+    chunk-sized ``scratch`` holds one temporary, and the gradient chunk,
+    which nothing reads after the moments, holds the other: ``grads`` is
+    left overwritten.
     """
     c1 = 1 - _ADAM_BETA1**step
     c2 = 1 - _ADAM_BETA2**step
     for lo in range(0, weights.size, _ADAM_CHUNK):
         hi = min(lo + _ADAM_CHUNK, weights.size)
         g, (m_part, v_part) = grads[lo:hi], moments[:, lo:hi]
-        a, b = scratch[:, : hi - lo]
+        a, b = scratch[: hi - lo], g
         m_part *= _ADAM_BETA1
         np.multiply(g, 1 - _ADAM_BETA1, out=a)
         m_part += a
@@ -809,37 +817,47 @@ def pretrain(
 ) -> AdaptableModel:
     """Train base weights on labeled source data with Adam; deterministic per seed.
 
-    Training runs in float64 on one flat buffer of weights (``_train``),
-    which the model casts into its serving precision once, at the end.
-    ``y`` must hold integral class indices; a fractional or non-finite label
-    is refused, not truncated.
+    Training runs in float32 on one flat buffer of weights (``_train``): the
+    float64 initial draws are rounded once, and so are ``X`` and the one-hot
+    targets.  The model takes the trained float32 weights and casts its first
+    layer exactly into float64.  ``y`` must hold integral class indices; a
+    fractional or non-finite label is refused, not truncated, and so is an
+    ``X`` beyond float32 range.
     """
     seed = check_int(seed, "seed", minimum=0)
     epochs = check_int(epochs, "epochs", minimum=0)
     X = check_batch(X, "X", width=config.in_dim)
     y = _check_labels(y, X.shape[0], config.class_count)
+    with np.errstate(over="ignore"):
+        X = X.astype(np.float32)
+    if not np.isfinite(X).all():
+        raise ValueError("X must lie within float32 range")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(101,))))
     initial = _init_weights(config, rng)
     shapes = {key: arr.shape for key, arr in initial.items()}
-    flat_weights = np.concatenate([arr.ravel() for arr in initial.values()])
+    flat_weights = np.concatenate([arr.ravel() for arr in initial.values()], dtype=np.float32)
     del initial
-    _train(config, flat_weights, shapes, X, np.eye(config.class_count)[y], rng, epochs)
+    onehot = np.eye(config.class_count, dtype=np.float32)[y]
+    _train(config, flat_weights, shapes, X, onehot, rng, epochs)
     return AdaptableModel(config, _flat_views(flat_weights, shapes))
 
 
 def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rng, epochs: int):
     """``epochs`` of minibatch Adam in place on ``flat_weights``, laid out as ``shapes``.
 
-    The layers come in list order, then the head.  Beside the weights, the
-    call holds the two Adam moments, one ``_train_workspace`` that every step
-    overwrites and gradients for two runs, all freed on return, before the
-    model copies the weights.  A run is the parts the backward finishes in a
-    row (the head, then layers from the last) until they hold
-    ``_ADAM_CHUNK`` parameters, or the first layer is done; ``_adam_step``
-    updates it then, after the step's last read of its weights and from the
-    same gradient bits, so every weight is bit-identical to an update after
-    the whole backward.  Runs take turns at the two gradient buffers.
+    The layers come in list order, then the head.  Every array the steps
+    write takes ``flat_weights``' dtype, which ``X`` and ``onehot`` share;
+    each step's logit gradient is taken by a float64 softmax and cast to it
+    once.  Beside the weights, the call holds the two Adam moments, one
+    ``_train_workspace`` that every step overwrites and gradients for two
+    runs, all freed on return, before the model copies the weights.  A run
+    is the parts the backward finishes in a row (the head, then layers from
+    the last) until they hold ``_ADAM_CHUNK`` parameters, or the first layer
+    is done; ``_adam_step`` updates it then, after the step's last read of
+    its weights and from the same gradient bits, so every weight is
+    bit-identical to an update after the whole backward.  Runs take turns at
+    the two gradient buffers.
 
     When one minibatch is large enough (``_train_submit``),
     ``_forward_train`` runs the upper row half of each minibatch of four
@@ -859,11 +877,12 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             runs[i], hi = (lo, hi), lo
     # each its own array: one buffer for all of them, freed, raised glibc's
     # trim threshold, and each later set-up then left ~16 MB in the heap
-    flat_grads = np.empty((min(2, len(runs)), max(hi - lo for lo, hi in runs.values())))
-    moments = np.zeros((2, flat_weights.size))
-    scratch = np.empty((2, min(flat_grads.shape[1], _ADAM_CHUNK)))
+    dtype = flat_weights.dtype
+    flat_grads = np.empty((min(2, len(runs)), max(hi - lo for lo, hi in runs.values())), dtype)
+    moments = np.zeros((2, flat_weights.size), dtype)
+    scratch = np.empty(min(flat_grads.shape[1], _ADAM_CHUNK), dtype)
     rows = min(len(X), _TRAIN_BATCH)
-    workspace = _train_workspace(config, rows)
+    workspace = _train_workspace(config, rows, dtype)
     submit = _train_submit(rows, config.width)
     grads, run_grads = {}, {}
     for turn, (i, (lo, hi)) in enumerate(runs.items()):
@@ -888,7 +907,7 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             d_logits -= onehot[idx]
             d_logits /= idx.shape[0]
             step += 1
-            _backward(layers, weights, cache, d_logits, grads, finished, submit)
+            _backward(layers, weights, cache, d_logits.astype(dtype), grads, finished, submit)
 
 
 class _RunningMoments:

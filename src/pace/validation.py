@@ -43,16 +43,16 @@ def check_batch(x, name: str = "batch", *, width: int | None = None) -> np.ndarr
 
 
 def check_positive(value: float, name: str) -> float:
-    """A real setting: finite and > 0 (inf and nan are not)."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
+    """A real setting: finite and > 0 (inf, nan and a bool are not)."""
+    real = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    if not np.isfinite(real) or real <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
-    return value
+    return real
 
 
 def check_int(value, name: str, minimum: int = 1) -> int:
-    """A count setting: an integer >= ``minimum`` (4.0, 2.5, inf and nan are not)."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    """A count setting: an integer >= ``minimum`` (4.0, 2.5, inf, nan and a bool are not)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
         rule = "a positive integer" if minimum == 1 else f">= {minimum} and an integer"
         raise ValueError(f"{name} must be {rule}, got {value}")
     return int(value)

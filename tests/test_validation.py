@@ -12,7 +12,7 @@ from pace.bench.stream import DomainSpec, StreamConfig
 from pace.controller import ControllerConfig
 from pace.model import ArchitectureConfig
 from pace.projection import FastfoodProjector
-from pace.validation import check_array, check_int
+from pace.validation import check_array, check_int, check_positive
 
 
 def test_length_check_of_zero_dimensional_input_names_its_shape():
@@ -56,6 +56,7 @@ COUNTS = {
     "StreamConfig.rounds": ("rounds", 1, lambda value: _stream(rounds=value)),
     "StreamConfig.seed": ("seed", 0, lambda value: _stream(seed=value)),
     "RunConfig.seed": ("seed", 0, lambda value: RunConfig(seed=value)),
+    "RunConfig.rounds": ("rounds", 1, lambda value: RunConfig(rounds=value)),
     "RunConfig.train_epochs": ("train_epochs", 0, lambda value: RunConfig(train_epochs=value)),
     "RunConfig.train_samples": (
         "train_samples", 1, lambda value: RunConfig(train_samples=value)
@@ -91,8 +92,8 @@ def test_non_finite_is_not_a_positive_integer(value, caller):
 @pytest.mark.parametrize("site", COUNTS)
 @pytest.mark.parametrize(
     "value",
-    [4.0, 2.5, np.inf, -np.inf, np.nan, None],
-    ids=["4.0", "2.5", "inf", "-inf", "nan", "below-minimum"],
+    [4.0, 2.5, np.inf, -np.inf, np.nan, True, False, np.True_, None],
+    ids=["4.0", "2.5", "inf", "-inf", "nan", "True", "False", "numpy-True", "below-minimum"],
 )
 def test_count_rejection_names_the_setting(value, site):
     setting, minimum, call = COUNTS[site]
@@ -116,3 +117,30 @@ def test_numpy_integer_seed_fingerprints_and_serializes_as_int():
     numpy_seed, python_seed = RunConfig(seed=np.int64(3)), RunConfig(seed=3)
     assert numpy_seed.stream_fingerprint() == python_seed.stream_fingerprint()
     assert json.dumps(numpy_seed.as_dict()) == json.dumps(python_seed.as_dict())
+
+
+# every positive real setting: (its name, a call that sets it to ``value``)
+POSITIVE_REALS = {
+    "check_positive": ("tau0", lambda value: check_positive(value, "tau0")),
+    "cmaes.init.tau0": ("tau0", lambda value: cmaes.init(4, tau0=value)),
+    "ControllerConfig.tau0": ("tau0", lambda value: ControllerConfig(tau0=value)),
+    "RunConfig.tau0": ("tau0", lambda value: RunConfig(tau0=value)),
+    "DomainSpec.severity": ("severity", lambda value: DomainSpec("feature_scale", value, 1)),
+}
+
+
+@pytest.mark.parametrize("site", POSITIVE_REALS)
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy-True"])
+def test_bool_is_not_a_positive_real(value, site):
+    setting, call = POSITIVE_REALS[site]
+    message = rf"^{setting} must be a positive finite number, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value", [2, np.int64(2), np.float32(2.0), 2.0], ids=["int", "int64", "float32", "float"]
+)
+def test_positive_real_is_returned_as_python_float(value):
+    real = check_positive(value, "tau0")
+    assert type(real) is float and real == 2.0

@@ -32,7 +32,9 @@ The inputs are fixed and there are no options.  The components:
 * ``weights``, ``source_stats``, ``gamma`` -- the assets ``prepare_assets``
   builds for ``RunConfig(seed=0..4)`` and for sub-stream 0 of the
   ``wide-adapt`` benchmark workload; that last model is the one whose
-  pretraining runs its backward on more than one usable CPU;
+  pretraining runs its backward on more than one usable CPU.  The weights
+  are hashed as the model stores them: pretrained in float32, the first
+  layer cast exactly into float64;
 * ``forward.wide`` -- the probabilities and block moments of one K = 12
   population forward of that ``wide-adapt`` model on a fixed batch: the shape
   whose population forward runs in chunks on more than one usable CPU, so
