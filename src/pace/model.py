@@ -54,17 +54,14 @@ pool, made on first use, runs the others; numpy releases the GIL inside the
 GEMMs and the large ufuncs, so the chunks overlap.  Row k of a population is
 bit-identical to the one-offset call, so it cannot depend on the chunk that
 computed it: every chunk count gives the same bits.  Pretraining a model
-whose minibatch GEMMs are as large (``_train_submit``) runs each step on two
-threads.  The forward splits the minibatch into two row halves, the pool
-running one while the calling thread runs the other, each with half of
-numpy's ufunc buffer.  In the backward the calling thread goes down the
-layers, computing each layer's input gradient, while the pool computes the
-weight gradients it leaves behind and runs Adam on them.  Those are the
-one-thread loop's calls on the same operands in the same order, or on row
-ranges of them where the operation is row by row, so the weights are the
-same bits on any CPU set.  ``serve``, ``bind``, ``compute_source_stats``, a
-small model's training and every one-offset call run on the calling thread
-alone.
+whose minibatch GEMMs are as large (``_train_submit``) runs each step's
+backward on two threads: the calling thread goes down the layers, computing
+each layer's input gradient, while the pool computes the weight gradients it
+leaves behind and runs Adam on them.  Those are the one-thread loop's calls
+on the same operands in the same order, so the weights are the same bits on
+any CPU set.  The step's forward, ``serve``, ``bind``,
+``compute_source_stats``, a small model's training and every one-offset call
+run on the calling thread alone.
 
 Pre-deployment training uses plain gradient descent (Adam) implemented
 locally, in float32 on flat buffers of its own with per-layer views into
@@ -77,9 +74,7 @@ into float64.  A ``pretrain`` call makes one workspace that every step's
 forward and backward overwrite, and the backward hands each run of layers to
 Adam as soon as it is done with their weights, so gradients take two runs'
 memory, not the parameters': all bit-identical to the allocating expressions
-and the per-weight update after the whole backward that they replaced.  On
-two threads the step's forward writes the same workspace, each thread its
-own rows.
+and the per-weight update after the whole backward that they replaced.
 """
 from __future__ import annotations
 
@@ -281,7 +276,7 @@ def _chunk_count(candidates: int, rows: int, width: int) -> int:
 
 
 def _train_submit(rows: int, width: int):
-    """Where a pretraining step on ``rows``-row minibatches runs its forward's upper half and lane.
+    """Where a pretraining step on ``rows``-row minibatches runs its backward's lane.
 
     The lane is the backward's weight gradients and Adam steps.
 
@@ -301,7 +296,7 @@ _EXECUTOR_LOCK = threading.Lock()  # so that callers on several threads make one
 
 
 def _executor():
-    """The process-wide thread pool: population chunks but the first, and pretraining's tasks."""
+    """The process-wide thread pool: population chunks but the first, and pretraining's lanes."""
     global _EXECUTOR
     with _EXECUTOR_LOCK:
         if _EXECUTOR is None:
@@ -561,7 +556,9 @@ def _train_workspace(config: ArchitectureConfig, rows: int, dtype) -> dict:
     A step of n <= ``rows`` rows writes the leading n rows of ``inputs``, the
     minibatch; of ``out``, ``xhat``, ``inv_std`` and the ReLU ``mask``, one
     per layer along the first axis; of the ``logits``; and of four
-    ``scratch`` arrays, the forward's squares and the backward's gradients.
+    ``scratch`` arrays: the forward's layer-norm squares in the first, then
+    the backward's gradients and products in all four.  The calling thread
+    writes it; the backward's lane only reads it.
     """
     shape = (len(config.layers()), rows, config.width)
     return {
@@ -586,85 +583,41 @@ def _run_now(task, *args) -> _Ran:
     return _Ran()
 
 
-def _forward_train(layers: list[Layer], w: dict, X: np.ndarray, workspace: dict, submit=_run_now):
+def _forward_train(layers: list[Layer], w: dict, X: np.ndarray, workspace: dict):
     """Forward pass over the weight dict ``w`` into ``workspace`` (zero offsets), in ``w``'s dtype.
 
     Returns the logits and the cache, views of the workspace's leading
     ``len(X)`` rows.  The cache is ``(h_in, relu_mask, xhat, inv_std)`` per
     layer, in layer order, the activations that enter the head, and the
     scratch ``_backward`` writes.  ``relu_mask`` marks where the ReLU's input
-    is positive, so where it passes the gradient.  ``_forward_rows`` writes
-    every array.
-
-    With ``submit`` the pool's (``_train_submit``) and four rows or more,
-    the pool runs rows ``[n // 2, n)`` while the calling thread runs ``[0,
-    n // 2)``, each half under half the caller's ufunc buffer
-    (``_forward_half``); else the calling thread runs all rows.  Each half
-    keeps two rows or more, since a one-row GEMM is a GEMV, whose bits differ
-    from the same row of a GEMM; every other step is row by row, so the
-    halves give the one-thread bits.  A raise in either half leaves here
-    once both are done.
+    is positive, so where it passes the gradient.  Every array is written by
+    the ``out=`` forms of the ufuncs of ``h @ W + b`` and ``h + maximum(xhat
+    * scale + bias, 0)``, in their order, so bit-identical to those.  It runs
+    on the calling thread.
     """
     n = len(X)
-    if submit is _run_now or n < 4:
-        _forward_rows(layers, w, X, workspace, 0, n)
-    else:
-        bufsize = np.getbufsize() // 2
-        upper = submit(_forward_half, bufsize, layers, w, X, workspace, n // 2, n)
-        try:
-            _forward_half(bufsize, layers, w, X, workspace, 0, n // 2)
-        finally:
-            upper.result()
+    scratch = workspace["scratch"][:, :n]
     per_layer = []
     h = X
     for i, layer in enumerate(layers):
-        out, xhat, inv_std = (workspace[key][i, :n] for key in ("out", "xhat", "inv_std"))
-        per_layer.append((h, workspace["mask"][i, :n] if layer.relu else None, xhat, inv_std))
-        h = out
-    return workspace["logits"][:n], (per_layer, h, workspace["scratch"][:, :n])
-
-
-def _forward_rows(layers: list[Layer], w: dict, X: np.ndarray, workspace: dict, lo: int, hi: int):
-    """Rows ``[lo, hi)`` of ``_forward_train``: ``X[lo:hi]`` through every layer and the head.
-
-    Writes only those rows of the workspace.  Every array is written by the
-    ``out=`` forms of the ufuncs of ``h @ W + b`` and ``h + maximum(xhat *
-    scale + bias, 0)``, in their order, so bit-identical to those.
-    """
-    squares = workspace["scratch"][0, lo:hi]
-    h = X[lo:hi]
-    for i, layer in enumerate(layers):
         name = layer.name
-        out, xhat, inv_std = (workspace[key][i, lo:hi] for key in ("out", "xhat", "inv_std"))
+        out, xhat, inv_std = (workspace[key][i, :n] for key in ("out", "xhat", "inv_std"))
         np.matmul(h, w[f"{name}.w"], out=xhat)
         xhat += w[f"{name}.b"]
-        _normalize(xhat, inv_std, squares)
+        _normalize(xhat, inv_std, scratch[0])
         np.multiply(xhat, w[f"{name}.ln_scale"], out=out)
         out += w[f"{name}.ln_bias"]
+        mask = None
         if layer.relu:
-            np.greater(out, 0, out=workspace["mask"][i, lo:hi])
+            mask = np.greater(out, 0, out=workspace["mask"][i, :n])
             np.maximum(out, 0.0, out=out)
         if layer.skip:
             out += h  # IEEE addition commutes, so bitwise equal to h + out
+        per_layer.append((h, mask, xhat, inv_std))
         h = out
-    logits = np.matmul(h, w["head.w"], out=workspace["logits"][lo:hi])
+    logits = np.matmul(h, w["head.w"], out=workspace["logits"][:n])
     logits += w["head.b"]
-
-
-def _forward_half(bufsize: int, *rows):
-    """``_forward_rows(*rows)`` with a ufunc buffer of ``bufsize`` elements, restored after.
-
-    Every broadcasting ufunc makes and frees one buffer of ``min(size,
-    np.getbufsize())`` elements.  That setting is per thread, so two halves
-    at half the caller's size hold no more buffer at once than one thread.
-    Elementwise ufuncs and these row reductions give the same bits at any
-    buffer size.
-    """
-    previous = np.setbufsize(bufsize)
-    try:
-        _forward_rows(*rows)
-    finally:
-        np.setbufsize(previous)
+    return logits, (per_layer, h, scratch)
 
 
 def _layer_norm_backward(d_out, xhat, inv_std, scale, d_scale, d_bias, product, d_xhat):
@@ -859,12 +812,12 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
     bit-identical to an update after the whole backward.  Runs take turns at
     the two gradient buffers.
 
-    When one minibatch is large enough (``_train_submit``),
-    ``_forward_train`` runs the upper row half of each minibatch of four
-    rows or more on ``_executor``'s threads, and ``_backward`` hands each
-    part's weight gradients and Adam step to them while the calling thread
-    goes on down the layers; otherwise the same calls run on the calling
-    thread alone.  Either way every weight gets the same bits.
+    When one minibatch is large enough (``_train_submit``), ``_backward``
+    hands each part's weight gradients and Adam step to ``_executor``'s
+    threads while the calling thread goes on down the layers; otherwise the
+    same calls run on the calling thread alone.  Either way they are the
+    same calls on the same operands, so every weight gets the same bits.
+    The forward runs on the calling thread.
     """
     layers = config.layers()
     weights = _flat_views(flat_weights, shapes)
@@ -902,7 +855,7 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             idx = order[lo : lo + _TRAIN_BATCH]
             # mode "clip" never acts on a permutation; "raise" would copy through a buffer
             batch = np.take(X, idx, axis=0, out=workspace["inputs"][: len(idx)], mode="clip")
-            logits, cache = _forward_train(layers, weights, batch, workspace, submit)
+            logits, cache = _forward_train(layers, weights, batch, workspace)
             d_logits = _softmax(logits)  # a new (B, C) array: (probs - onehot) / B in place
             d_logits -= onehot[idx]
             d_logits /= idx.shape[0]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -42,7 +41,7 @@ def mlp_model():
 
 @pytest.fixture
 def split_pretraining(monkeypatch):
-    """Call with a CPU count: pretraining of any shape then splits each step over a fresh pool.
+    """Call with a CPU count: pretraining of any shape then runs its backward on a fresh pool.
 
     The pool made under the patched count is shut down afterwards, and the
     process's own pool, if any, is back in place.  Meanwhile Python switches
@@ -677,6 +676,9 @@ class TestPretrain:
         the Adam runs are those of ``test_adam_runs_match_per_key_adam_reference``,
         so some span two parts.  ``_adam_step`` is still called once per run
         per step, in the backward's order, and never on the calling thread.
+        Every task ``pretrain`` hands the pool is a lane task, a weight
+        gradient or a task chained after the one before it: the forward stays
+        on the calling thread.
         """
         rng = np.random.default_rng(7)
         cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=9, blocks=3)
@@ -684,19 +686,26 @@ class TestPretrain:
         y = rng.integers(0, 4, samples)
         reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
         split_pretraining(cpus)
-        sizes, threads = [], set()
-        adam_step = pace.model._adam_step
+        sizes, threads, tasks = [], set(), []
+        adam_step, executor = pace.model._adam_step, pace.model._executor
 
         def spy(weights, *args):
             sizes.append(weights.size)
             threads.add(threading.current_thread())
             adam_step(weights, *args)
 
+        class RecordingPool:
+            def submit(self, task, *args):
+                tasks.append(task)
+                return executor().submit(task, *args)
+
         monkeypatch.setattr(pace.model, "_ADAM_CHUNK", chunk)
         monkeypatch.setattr(pace.model, "_adam_step", spy)
+        monkeypatch.setattr(pace.model, "_executor", RecordingPool)
         model = pretrain(cfg, X, y, seed=5, epochs=3)
         assert sizes == runs * 9  # 3 epochs of 3 minibatches
         assert threads and threading.current_thread() not in threads
+        assert tasks and set(tasks) <= {pace.model._weight_gradient, pace.model._after}
         for key, ref in reference.weights.items():
             np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
 
@@ -761,107 +770,6 @@ class TestPretrain:
         assert len(threads) == 4 and threading.current_thread() not in threads
         monkeypatch.setattr(pace.model, "_adam_step", adam_step)
         model = pretrain(cfg, X, y, seed=5, epochs=3)
-        for key, ref in reference.weights.items():
-            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
-
-    @pytest.mark.parametrize("cpus", [2, 4])
-    @pytest.mark.parametrize("last", [1, 2, 3, 4, 5, 45])
-    @pytest.mark.parametrize("kind", ["mlp", "residual"])
-    def test_forward_halves_on_the_pool_match_per_key_adam_reference(
-        self, kind, last, cpus, split_pretraining, monkeypatch
-    ):
-        """With the forward's upper row half on a pool of 1 or 3 workers, the same bits.
-
-        The split is forced on a model far below ``_CHUNK_MIN_WORK``.  128 +
-        ``last`` samples give each epoch a full minibatch, split 64 + 64, and
-        then one of ``last`` rows: split from 4 rows on (2 + 2, 2 + 3, 22 +
-        23), and run whole on the calling thread at 1, 2 or 3.  Each half runs
-        under half the caller's ufunc buffer, and every thread's buffer size
-        is back once its half returns.
-        """
-        rng = np.random.default_rng(7)
-        cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=9, blocks=3)
-        X = rng.standard_normal((128 + last, 3))
-        y = rng.integers(0, 4, 128 + last)
-        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
-        split_pretraining(cpus)
-        bufsize = np.getbufsize()
-        rows, after = [], []  # (thread, lo, hi, buffer size) per row range; sizes after a half
-        forward_rows, forward_half = pace.model._forward_rows, pace.model._forward_half
-
-        def rows_spy(layers, w, X, workspace, lo, hi):
-            rows.append((threading.current_thread(), lo, hi, np.getbufsize()))
-            forward_rows(layers, w, X, workspace, lo, hi)
-
-        def half_spy(*args):
-            try:
-                forward_half(*args)
-            finally:
-                after.append(np.getbufsize())
-
-        monkeypatch.setattr(pace.model, "_forward_rows", rows_spy)
-        monkeypatch.setattr(pace.model, "_forward_half", half_spy)
-        model = pretrain(cfg, X, y, seed=5, epochs=3)
-        caller, half = threading.current_thread(), bufsize // 2
-        if last >= 4:
-            on_caller = [(0, 64, half), (0, last // 2, half)]
-            on_pool = [(64, 128, half), (last // 2, last, half)]
-        else:
-            on_caller = [(0, 64, half), (0, last, bufsize)]
-            on_pool = [(64, 128, half)]
-        assert [r[1:] for r in rows if r[0] is caller] == on_caller * 3
-        assert [r[1:] for r in rows if r[0] is not caller] == on_pool * 3
-        assert all(r[0].name.startswith("pace-forward") for r in rows if r[0] is not caller)
-        assert after == [bufsize] * (2 * len(on_pool) * 3)
-        assert np.getbufsize() == bufsize
-        for key, ref in reference.weights.items():
-            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
-
-    @pytest.mark.parametrize("failing", ["pool", "caller"])
-    def test_failure_in_a_forward_half_propagates_and_the_next_call_is_clean(
-        self, failing, split_pretraining, monkeypatch
-    ):
-        """A raise in either forward half leaves ``pretrain``; the next call gives the reference bits.
-
-        The patched ``_forward_rows`` fails in the second step, on the pool's
-        half or on the caller's; when the caller's fails, the pool's half of
-        that step takes 50 ms more, and ``pretrain`` still waits for it.
-        After the failure and after the next call, ``np.getbufsize()`` reads
-        as before on the calling thread and on the pool's one worker.
-        """
-        rng = np.random.default_rng(7)
-        cfg = ArchitectureConfig(kind="residual", in_dim=3, class_count=4, width=9, blocks=3)
-        X = rng.standard_normal((301, 3))
-        y = rng.integers(0, 4, 301)
-        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
-        split_pretraining(2)
-        bufsize, caller = np.getbufsize(), threading.current_thread()
-        forward_rows = pace.model._forward_rows
-        calls, done = [], []  # per row range started and returned: whether the pool ran it
-
-        def fails_in_the_second_step(*args):
-            on_pool = threading.current_thread() is not caller
-            calls.append(on_pool)
-            if calls.count(on_pool) == 2:
-                if on_pool == (failing == "pool"):
-                    raise RuntimeError("forward half failed")
-                if on_pool:
-                    time.sleep(0.05)
-            forward_rows(*args)
-            done.append(on_pool)
-
-        def buffer_sizes():
-            return np.getbufsize(), pace.model._EXECUTOR.submit(np.getbufsize).result()
-
-        monkeypatch.setattr(pace.model, "_forward_rows", fails_in_the_second_step)
-        with pytest.raises(RuntimeError, match="forward half failed"):
-            pretrain(cfg, X, y, seed=5, epochs=3)
-        failed_on_pool = failing == "pool"
-        assert done.count(failed_on_pool) == 1 and done.count(not failed_on_pool) == 2
-        assert buffer_sizes() == (bufsize, bufsize)
-        monkeypatch.setattr(pace.model, "_forward_rows", forward_rows)
-        model = pretrain(cfg, X, y, seed=5, epochs=3)
-        assert buffer_sizes() == (bufsize, bufsize)
         for key, ref in reference.weights.items():
             np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
 
@@ -936,16 +844,13 @@ class TestPretrain:
         (64 KiB), is made and freed inside numpy by every broadcasting ufunc,
         whatever the activations' size.  Its term keeps that float64 size:
         at float32's 32 KiB the bound would be 48 KiB, below the 50 KiB
-        measured on top (below).  Where the forward runs in two row halves on
-        two threads, each half runs with half that buffer, so the two
-        together hold no more of it than one thread.  On a 2-CPU x86 box
-        float32 pretraining measured levels within 6 KiB and 44-50 KiB on
-        top, with or without the split; float64 pretraining measured 78 KiB
-        on top, and 133 KiB in some runs of a split at the full buffer.
-        What a step may allocate is row statistics, the
-        probabilities, the cast logit gradient and the minibatch's one-hot
-        rows.  A step is read from one ``_forward_train`` call to the next,
-        so the minibatch gather before it counts in the level, not on top.
+        measured on top (below).  On a 2-CPU x86 box float32 pretraining
+        measured levels within 6.3 KiB and 44-50 KiB on top; float64
+        pretraining measured 78 KiB on top.  What a step may allocate is row
+        statistics, the probabilities, the cast logit gradient and the
+        minibatch's one-hot rows.  A step is read from one ``_forward_train``
+        call to the next, so the minibatch gather before it counts in the
+        level, not on top.
         """
         cfg = ArchitectureConfig(kind="residual", in_dim=32, class_count=8, width=256, blocks=8)
         rng = np.random.default_rng(9)

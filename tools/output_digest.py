@@ -43,14 +43,10 @@ The inputs are fixed and there are no options.  The components:
 * ``weights.wide.partial`` -- the weights of the ``wide-adapt``
   architecture pretrained for 1 epoch on 1001 clean source samples, drawn as
   ``prepare_assets`` draws its own, so that the last minibatch holds 105
-  rows.  This is the shape whose pretraining runs on the thread pool when
-  two CPUs are usable (the backward's lane, and each step's forward in two
-  row halves), as the full-size case in the ``weights`` line does, so equal
-  lines under ``taskset -c 0`` and on more CPUs mean the pool moves no bit,
-  at a full and at an odd-row minibatch;
-* ``weights.wide.tiny`` -- the same on 133 samples: one full minibatch, then
-  one of 5 rows, whose forward splits into halves of 2 and 3 rows, the
-  fewest a half may hold;
+  rows.  This is the shape whose pretraining runs its backward's lane on
+  the thread pool when two CPUs are usable, as the full-size case in the
+  ``weights`` line does, so equal lines under ``taskset -c 0`` and on more
+  CPUs mean the pool moves no bit, at a full and at an odd-row minibatch;
 * ``stream`` -- the stream fingerprint and every batch's features, labels,
   domain id and index, for ``RunConfig(seed=0..4)``, sub-stream 0 of the
   ``recurring-toy`` and ``wide-adapt`` workloads, and a stream of severity
@@ -151,9 +147,9 @@ def feed_population_forward(h, model) -> None:
     feed(h, (probs, stats.means, stats.stds))
 
 
-def feed_partial_pretraining(h, config, samples: int) -> None:
-    """Hash ``config``'s model pretrained 1 epoch on ``samples`` clean source samples."""
-    batches = make_source_batches(config.stream_config(), samples, 256, tag=1)
+def feed_partial_pretraining(h, config) -> None:
+    """Hash ``config``'s model pretrained 1 epoch on 1001 samples: 7 full minibatches, then 105 rows."""
+    batches = make_source_batches(config.stream_config(), 1001, 256, tag=1)
     X = np.concatenate([b[0] for b in batches])
     y = np.concatenate([b[1] for b in batches])
     feed(h, pretrain(config.architecture(), X, y, seed=config.seed, epochs=1).weights)
@@ -180,8 +176,7 @@ def main() -> int:
     digests["presets.pace.rounds3"] = hashlib.sha256()
     for name in (
         "run_prepared", "run_dir", "transform", "cmaes", "shift_score", "weights",
-        "source_stats", "gamma", "forward.wide", "weights.wide.partial",
-        "weights.wide.tiny", "stream",
+        "source_stats", "gamma", "forward.wide", "weights.wide.partial", "stream",
     ):
         digests[name] = hashlib.sha256()
 
@@ -204,8 +199,7 @@ def main() -> int:
             feed(digests["gamma"], gamma)
             if i >= len(SEEDS):
                 feed_population_forward(digests["forward.wide"], model)
-                feed_partial_pretraining(digests["weights.wide.partial"], base, 1001)
-                feed_partial_pretraining(digests["weights.wide.tiny"], base, 133)
+                feed_partial_pretraining(digests["weights.wide.partial"], base)
                 continue  # the wide-adapt assets only
             for method in METHODS:
                 config = dataclasses.replace(base, method=method)
