@@ -773,6 +773,88 @@ class TestPretrain:
         for key, ref in reference.weights.items():
             np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
 
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("last", [1, 2, 3, 4, 5, 45])
+    @pytest.mark.parametrize("kind", ["mlp", "residual"])
+    def test_forward_on_the_calling_thread_matches_per_key_adam_reference(
+        self, kind, last, cpus, split_pretraining, monkeypatch
+    ):
+        """With the backward's lane on a pool of 1 or 3 workers, each forward runs whole on the caller.
+
+        The lane is forced on a model far below ``_CHUNK_MIN_WORK``.  128 +
+        ``last`` samples give each epoch a full minibatch of 128 rows and
+        then one of ``last``, 1 to 5 rows or 45.  Every ``_forward_train`` call
+        takes its whole minibatch on the calling thread, and only once every
+        task the previous step handed the pool is done, since that step's
+        Adam updates write the weights the forward reads.
+        """
+        rng = np.random.default_rng(7)
+        cfg = ArchitectureConfig(kind=kind, in_dim=3, class_count=4, width=9, blocks=3)
+        X = rng.standard_normal((128 + last, 3))
+        y = rng.integers(0, 4, 128 + last)
+        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
+        split_pretraining(cpus)
+        forwards, futures = [], []  # (thread, rows, lane done) per forward; every pool future
+        forward_train, executor = pace.model._forward_train, pace.model._executor
+
+        def forward_spy(layers, w, X, workspace):
+            forwards.append((threading.current_thread(), len(X), all(f.done() for f in futures)))
+            return forward_train(layers, w, X, workspace)
+
+        class RecordingPool:
+            def submit(self, task, *args):
+                futures.append(executor().submit(task, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(pace.model, "_forward_train", forward_spy)
+        monkeypatch.setattr(pace.model, "_executor", RecordingPool)
+        model = pretrain(cfg, X, y, seed=5, epochs=3)
+        assert forwards == [(threading.current_thread(), rows, True) for rows in [128, last] * 3]
+        assert futures and all(f.done() for f in futures)
+        for key, ref in reference.weights.items():
+            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first-step", "second-step"])
+    def test_failure_in_the_training_forward_propagates_and_the_next_call_is_clean(
+        self, failing, split_pretraining, monkeypatch
+    ):
+        """A raise in a step's forward leaves ``pretrain``; the next call gives the reference bits.
+
+        The patched ``_forward_train`` fails in the first step, before the
+        pool has any task, or in the second, when the first step's lane is
+        already done: nothing of the failed call is left running on the pool.
+        """
+        rng = np.random.default_rng(7)
+        cfg = ArchitectureConfig(kind="residual", in_dim=3, class_count=4, width=9, blocks=3)
+        X = rng.standard_normal((301, 3))
+        y = rng.integers(0, 4, 301)
+        reference = _reference_pretrain(cfg, X, y, seed=5, epochs=3)
+        split_pretraining(2)
+        forward_train, executor = pace.model._forward_train, pace.model._executor
+        calls, futures = [], []
+
+        def fails(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == failing:
+                raise RuntimeError("training forward failed")
+            return forward_train(*args)
+
+        class RecordingPool:
+            def submit(self, task, *args):
+                futures.append(executor().submit(task, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(pace.model, "_forward_train", fails)
+        monkeypatch.setattr(pace.model, "_executor", RecordingPool)
+        with pytest.raises(RuntimeError, match="training forward failed"):
+            pretrain(cfg, X, y, seed=5, epochs=3)
+        assert calls == [threading.current_thread()] * failing
+        assert bool(futures) == (failing > 1) and all(f.done() for f in futures)
+        monkeypatch.setattr(pace.model, "_forward_train", forward_train)
+        model = pretrain(cfg, X, y, seed=5, epochs=3)
+        for key, ref in reference.weights.items():
+            np.testing.assert_array_equal(model.weights[key], ref, err_msg=key)
+
     @pytest.mark.parametrize("setting, value", [
         ("epochs", -1), ("epochs", 2.5), ("epochs", 3.0), ("epochs", "3"), ("epochs", True),
         ("seed", -1), ("seed", 1.5), ("seed", None), ("seed", False),
