@@ -6,7 +6,7 @@ import hashlib
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ class RunConfig:
     """Flat configuration for one benchmark run (mirrors the key=value file format).
 
     Checked whole at construction, through the types it builds: architecture,
-    stream and, for adapting methods, controller config.
+    stream and controller config, the latter for every method.
     """
 
     method: str = "pace"
@@ -119,7 +119,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if f.type in ("int", int) and integral:
+            if f.type == "int" and integral:
                 object.__setattr__(self, f.name, int(value))
         check_int(self.train_epochs, "train_epochs", minimum=0)
         for name in ("train_samples", "source_samples", "calibration_batches"):
@@ -211,9 +211,9 @@ def _coerce(raw, field_spec):
     name = field_spec.name
     if name in ("gamma", "out_dir") and text.lower() in ("none", "auto", ""):
         return None
-    if field_spec.type in ("int", int):
+    if field_spec.type == "int":
         return int(text)
-    if field_spec.type in ("float", float, "float | None"):
+    if field_spec.type in ("float", "float | None"):
         return float(text)
     return text
 
@@ -302,11 +302,12 @@ def calibrate_gamma_for_config(config: RunConfig, model: AdaptableModel) -> floa
 
 
 def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerConfig | None:
-    """Translate a method preset into controller flags; None means no adaptation."""
-    method = config.method
-    if method == "noadapt":
-        return None
-    kwargs = dict(
+    """Translate a method preset into controller flags; None means no adaptation.
+
+    The settings as given are checked for every method, ``noadapt`` and the
+    presets that override some of them included.
+    """
+    given = ControllerConfig(
         dim=config.dim,
         population_size=config.population,
         tau0=config.tau0,
@@ -317,15 +318,18 @@ def controller_config_for_method(config: RunConfig, gamma: float) -> ControllerC
         bank_capacity=config.bank_capacity,
         seed=config.seed,
     )
+    method = config.method
+    if method == "noadapt":
+        return None
     if method in ("pace-always", "pace-v1"):
         # never freezes and never sees a shift, so the bank stays empty; the
         # detector still scores every batch
-        kwargs.update(epsilon=0.0, gamma=np.inf)
-    elif method == "pace-v2":
-        kwargs["epsilon"] = 0.0
-    elif method == "pace-v3":
-        kwargs["bank_capacity"] = 0
-    return ControllerConfig(**kwargs)
+        return replace(given, epsilon=0.0, gamma=np.inf)
+    if method == "pace-v2":
+        return replace(given, epsilon=0.0)
+    if method == "pace-v3":
+        return replace(given, bank_capacity=0)
+    return given
 
 
 def run_prepared(

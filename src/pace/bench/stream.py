@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..validation import check_int, check_positive, store_int
+from ..validation import check_int, check_positive, check_real, store_int
 
 # spawn-key tags for the independent random streams; their values fix every stream's bits
 _TAG_TASK = 0
@@ -59,6 +59,8 @@ class StreamConfig:
         store_int(self, "batch_size")
         store_int(self, "rounds")
         store_int(self, "seed", minimum=0)
+        for name in ("blob_radius", "blob_std", "blob_center"):
+            check_real(getattr(self, name), name)
         for name in ("blob_radius", "blob_std"):
             if not 0 <= getattr(self, name) < np.inf:  # the not-form also rejects nan
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

@@ -37,7 +37,14 @@ from .bank import VectorBank
 from .fitness import FitnessConfig, fitness
 from .model import AdaptableModel, SourceStats
 from .projection import FastfoodProjector
-from .validation import NonFiniteError, check_array, check_batch, check_positive, store_int
+from .validation import (
+    NonFiniteError,
+    check_array,
+    check_batch,
+    check_positive,
+    check_real,
+    store_int,
+)
 
 ADAPTING = "adapting"
 FROZEN = "frozen"
@@ -78,6 +85,8 @@ class ControllerConfig:
         store_int(self, "seed", minimum=0)
         check_positive(self.tau0, "tau0")
         FitnessConfig(self.lambda_weight)
+        for name in ("epsilon", "beta", "gamma"):
+            check_real(getattr(self, name), name)
         if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
         if not 0 < self.beta <= 1:

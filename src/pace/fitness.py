@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ActivationStats, SourceStats
+from .validation import check_real
 
 
 @dataclass(frozen=True)
@@ -15,6 +16,7 @@ class FitnessConfig:
     lambda_weight: float = 0.4
 
     def __post_init__(self):
+        check_real(self.lambda_weight, "lambda_weight")
         if not np.isfinite(self.lambda_weight) or self.lambda_weight < 0:
             raise ValueError(f"lambda_weight must be finite and >= 0, got {self.lambda_weight}")
 

@@ -342,11 +342,6 @@ class AdaptableModel:
     # -- structure ---------------------------------------------------------
 
     @property
-    def block_count(self) -> int:
-        """Layers with a ReLU; their output statistics enter the fitness."""
-        return sum(layer.relu for layer in self.layers)
-
-    @property
     def class_count(self) -> int:
         return self.config.class_count
 
@@ -863,42 +858,16 @@ def _train(config: ArchitectureConfig, flat_weights, shapes: dict, X, onehot, rn
             _backward(layers, weights, cache, d_logits.astype(dtype), grads, finished, submit)
 
 
-class _RunningMoments:
-    """Streaming per-feature mean/variance (parallel-merge form)."""
-
-    def __init__(self, width: int):
-        self.count = 0
-        self.mean = np.zeros(width)
-        self.m2 = np.zeros(width)
-
-    def update(self, n_b: int, b_mean: np.ndarray, b_var: np.ndarray):
-        """Merge a batch of ``n_b`` samples with per-feature mean and variance."""
-        b_m2 = b_var * n_b
-        total = self.count + n_b
-        delta = b_mean - self.mean
-        self.mean = self.mean + delta * (n_b / total)
-        self.m2 = self.m2 + b_m2 + delta**2 * (self.count * n_b / total)
-        self.count = total
-
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.m2 / self.count)
-
-
 def compute_source_stats(model: AdaptableModel, source_batches) -> SourceStats:
-    """Aggregate per-block activation moments over in-distribution batches."""
-    block_moments = [_RunningMoments(model.config.width) for _ in range(model.block_count)]
-    zero = model.bind(model.zero_offset())
-    seen = 0
-    for batch in source_batches:
-        X = check_batch(batch, "source batch", width=model.config.in_dim)
-        _, blocks, _ = model._activations(X, zero)
-        for moments, (mean, var) in zip(block_moments, blocks):
-            moments.update(X.shape[0], mean, var)
-        seen += X.shape[0]
-    if seen == 0:
+    """Per-block activation moments of the unadapted model over in-distribution batches.
+
+    Each batch is checked, then all of them are joined and scored by one
+    ``forward`` at the zero offset, so these are the same moments a batch's
+    own forward gives the fitness.  The whole source set is held at once.
+    """
+    batches = [check_batch(b, "source batch", width=model.config.in_dim) for b in source_batches]
+    if not batches:
         raise ValueError("source statistics require at least one sample")
-    return SourceStats(
-        means=[m.mean.copy() for m in block_moments],
-        stds=[m.std() for m in block_moments],
-    )
+    _, stats = model.forward(model.zero_offset(), np.concatenate(batches))
+    return SourceStats(means=stats.means, stds=stats.stds)
 

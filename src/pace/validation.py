@@ -42,6 +42,12 @@ def check_batch(x, name: str = "batch", *, width: int | None = None) -> np.ndarr
     return arr
 
 
+def check_real(value, name: str) -> None:
+    """A real setting: a real number (a bool, a string and None are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
+        raise ValueError(f"{name} must be a real number, got {value}")
+
+
 def check_positive(value: float, name: str) -> float:
     """A real setting: finite and > 0 (inf, nan and a bool are not)."""
     real = np.nan if isinstance(value, (bool, np.bool_)) else float(value)

@@ -161,6 +161,24 @@ class TestRunCommand:
                 .replace("calibration_warmup = 10", "calibration_warmup = 20"),
                 id="calibration_batches",
             ),
+            # noadapt builds no controller, yet its settings are checked as pace's are
+            *(
+                pytest.param(
+                    [],
+                    TINY_CONFIG.replace("method = pace", "method = noadapt") + line + "\n",
+                    id=f"noadapt-{line.split()[0]}",
+                )
+                for line in (
+                    "epsilon = -1",
+                    "gamma = -1",
+                    "beta = 7",
+                    "tau0 = -1",
+                    "dim = 0",
+                    "population = 1",
+                    "bank_capacity = -1",
+                    "lambda_weight = -1",
+                )
+            ),
         ],
     )
     def test_bad_controller_setting_fails_before_set_up(

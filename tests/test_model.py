@@ -232,10 +232,6 @@ class TestLayout:
         with pytest.raises(ValueError, match=message):
             AdaptableModel(cfg, weights)
 
-    def test_block_and_stem_dimensions(self, residual_model, mlp_model):
-        assert residual_model.block_count == 4
-        assert mlp_model.block_count == 2
-
     def test_base_weights_immutable(self, mlp_model):
         with pytest.raises(ValueError):
             mlp_model.weights["head.w"][0, 0] = 99.0
@@ -460,15 +456,26 @@ class TestSourceStats:
         for sd in stats.stds:
             np.testing.assert_allclose(sd, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("fixture, blocks", [("mlp_model", 2), ("residual_model", 4)])
+    def test_equals_one_unadapted_forward_over_the_joined_batches(self, fixture, blocks, request):
+        model = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(6)
+        batches = [rng.standard_normal((rows, 3)) for rows in (64, 64, 17)]
+        stats = compute_source_stats(model, iter(batches))  # any iterable of batches
+        _, expected = model.forward(model.zero_offset(), np.concatenate(batches))
+        assert len(stats.means) == len(stats.stds) == len(expected.means) == blocks
+        for got, want in zip(stats.means + stats.stds, expected.means + expected.stds):
+            np.testing.assert_array_equal(got, want)
+
     def test_streamed_halves_match_single_pass(self, mlp_model):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((400, 3))
         whole = compute_source_stats(mlp_model, [X])
         halves = compute_source_stats(mlp_model, [X[:200], X[200:]])
         for a, b in zip(whole.means, halves.means):
-            np.testing.assert_allclose(a, b, atol=1e-8)
+            np.testing.assert_array_equal(a, b)
         for a, b in zip(whole.stds, halves.stds):
-            np.testing.assert_allclose(a, b, atol=1e-8)
+            np.testing.assert_array_equal(a, b)
 
     def test_constant_input_propagates_analytically(self, mlp_model):
         # hand-propagate one linear + layernorm + relu layer for a constant batch
@@ -484,6 +491,10 @@ class TestSourceStats:
     def test_empty_input_rejected(self, mlp_model):
         with pytest.raises(ValueError, match="at least one sample"):
             compute_source_stats(mlp_model, [])
+
+    def test_each_batch_checked_by_name(self, mlp_model):
+        with pytest.raises(ValueError, match="source batch must have 3 columns"):
+            compute_source_stats(mlp_model, [np.zeros((4, 3)), np.zeros((4, 2))])
 
 
 # (kind, _ADAM_CHUNK, the run sizes of one step) at width 9, in_dim 3, 4 classes, 3 blocks

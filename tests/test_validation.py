@@ -10,9 +10,10 @@ from pace.bank import VectorBank
 from pace.bench.run import RunConfig
 from pace.bench.stream import DomainSpec, StreamConfig
 from pace.controller import ControllerConfig
+from pace.fitness import FitnessConfig
 from pace.model import ArchitectureConfig
 from pace.projection import FastfoodProjector
-from pace.validation import check_array, check_int, check_positive
+from pace.validation import check_array, check_int, check_positive, check_real
 
 
 def test_length_check_of_zero_dimensional_input_names_its_shape():
@@ -78,6 +79,14 @@ COUNTS = {
         "bank_capacity", 0, lambda value: ControllerConfig(bank_capacity=value)
     ),
     "ControllerConfig.seed": ("seed", 0, lambda value: ControllerConfig(seed=value)),
+    # noadapt builds no controller, yet its RunConfig checks the controller's settings
+    "RunConfig.noadapt.dim": ("dim", 1, lambda value: RunConfig(method="noadapt", dim=value)),
+    "RunConfig.noadapt.population": (
+        "population_size", 2, lambda value: RunConfig(method="noadapt", population=value)
+    ),
+    "RunConfig.noadapt.bank_capacity": (
+        "bank_capacity", 0, lambda value: RunConfig(method="noadapt", bank_capacity=value)
+    ),
 }
 CALLERS = {site: call for site, (_, minimum, call) in COUNTS.items() if minimum == 1}
 
@@ -101,7 +110,7 @@ def test_count_rejection_names_the_setting(value, site):
         call(minimum - 1 if value is None else value)
 
 
-STORED_AS = {"cmaes.init": "dim"}
+STORED_AS = {"cmaes.init": "dim", "RunConfig.noadapt.population": "population"}
 
 
 @pytest.mark.parametrize("site", COUNTS)
@@ -119,21 +128,45 @@ def test_numpy_integer_seed_fingerprints_and_serializes_as_int():
     assert json.dumps(numpy_seed.as_dict()) == json.dumps(python_seed.as_dict())
 
 
-# every positive real setting: (its name, a call that sets it to ``value``)
-POSITIVE_REALS = {
-    "check_positive": ("tau0", lambda value: check_positive(value, "tau0")),
-    "cmaes.init.tau0": ("tau0", lambda value: cmaes.init(4, tau0=value)),
-    "ControllerConfig.tau0": ("tau0", lambda value: ControllerConfig(tau0=value)),
-    "RunConfig.tau0": ("tau0", lambda value: RunConfig(tau0=value)),
-    "DomainSpec.severity": ("severity", lambda value: DomainSpec("feature_scale", value, 1)),
+POSITIVE, REAL = "a positive finite number", "a real number"
+CONTROLLER_REALS = ("epsilon", "gamma", "beta", "lambda_weight")
+BLOB_REALS = ("blob_radius", "blob_std", "blob_center")
+
+
+def _noadapt(**setting):
+    return RunConfig(method="noadapt", **setting)
+
+
+# every real setting: (its name, the rule its message states, a call that sets it to ``value``)
+REALS = {
+    "check_positive": ("tau0", POSITIVE, lambda value: check_positive(value, "tau0")),
+    "cmaes.init.tau0": ("tau0", POSITIVE, lambda value: cmaes.init(4, tau0=value)),
+    "ControllerConfig.tau0": ("tau0", POSITIVE, lambda value: ControllerConfig(tau0=value)),
+    "RunConfig.tau0": ("tau0", POSITIVE, lambda value: RunConfig(tau0=value)),
+    "RunConfig.noadapt.tau0": ("tau0", POSITIVE, lambda value: _noadapt(tau0=value)),
+    "DomainSpec.severity": (
+        "severity", POSITIVE, lambda value: DomainSpec("feature_scale", value, 1)
+    ),
+    "check_real": ("epsilon", REAL, lambda value: check_real(value, "epsilon")),
+    "FitnessConfig.lambda_weight": ("lambda_weight", REAL, lambda value: FitnessConfig(value)),
+    **{
+        f"{site}.{name}": (name, REAL, lambda value, build=build, name=name: build(**{name: value}))
+        for site, build, names in [
+            ("ControllerConfig", ControllerConfig, CONTROLLER_REALS),
+            ("RunConfig", RunConfig, CONTROLLER_REALS + BLOB_REALS),
+            ("RunConfig.noadapt", _noadapt, CONTROLLER_REALS),
+            ("StreamConfig", _stream, BLOB_REALS),
+        ]
+        for name in names
+    },
 }
 
 
-@pytest.mark.parametrize("site", POSITIVE_REALS)
+@pytest.mark.parametrize("site", REALS)
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy-True"])
 def test_bool_is_not_a_positive_real(value, site):
-    setting, call = POSITIVE_REALS[site]
-    message = rf"^{setting} must be a positive finite number, got {value}$"
+    setting, rule, call = REALS[site]
+    message = rf"^{setting} must be {rule}, got {value}$"
     with pytest.raises(ValueError, match=message):
         call(value)
 
