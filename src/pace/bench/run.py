@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -114,13 +113,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        # every integer count is stored as a Python int, which JSON takes and np.int64 not;
-        # a bool is left for check_int to refuse
-        for f in fields(self):
+        for f in fields(self):  # Python scalars, which JSON takes; the owning config checks each
             value = getattr(self, f.name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if f.type == "int" and integral:
-                object.__setattr__(self, f.name, int(value))
+            value = value.item() if isinstance(value, np.generic) else value
+            real = f.type in ("float", "float | None") and type(value) is int  # not a bool
+            object.__setattr__(self, f.name, float(value) if real else value)
         check_int(self.train_epochs, "train_epochs", minimum=0)
         for name in ("train_samples", "source_samples", "calibration_batches"):
             check_int(getattr(self, name), name)
@@ -185,7 +182,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        mapping = {}
+        mapping, set_on = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -194,7 +191,11 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, value = line.split("=", 1)
-                mapping[key.strip()] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in set_on:
+                    raise ValueError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+                set_on[key] = lineno
+                mapping[key] = value.strip()
         return cls.from_mapping(mapping)
 
     def as_dict(self) -> dict:
@@ -257,6 +258,8 @@ class RunReport:
         """Inverse of ``summary_dict``; extra keys such as ``config`` are ignored."""
         if record.get("schema_version") != SUMMARY_SCHEMA_VERSION:
             raise ValueError(f"unsupported summary schema: {record.get('schema_version')}")
+        if missing := [name for name in cls._summary_fields() if name not in record]:
+            raise ValueError(f"summary is missing {', '.join(missing)}")
         kwargs = {name: record[name] for name in cls._summary_fields()}
         for name in _INT_KEYED:  # JSON object keys are strings
             kwargs[name] = {int(k): v for k, v in kwargs[name].items()}

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..validation import check_int, check_positive, check_real, store_int
+from ..validation import check_int, store_int, store_real
 
 # spawn-key tags for the independent random streams; their values fix every stream's bits
 _TAG_TASK = 0
@@ -32,7 +32,7 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind != "feature_scale":
             raise ValueError(f"unknown corruption kind: {self.kind!r}, expected 'feature_scale'")
-        check_positive(self.severity, "severity")
+        store_real(self, "severity", 0, np.inf, "()")
         store_int(self, "batch_count")
 
 
@@ -59,13 +59,9 @@ class StreamConfig:
         store_int(self, "batch_size")
         store_int(self, "rounds")
         store_int(self, "seed", minimum=0)
-        for name in ("blob_radius", "blob_std", "blob_center"):
-            check_real(getattr(self, name), name)
-        for name in ("blob_radius", "blob_std"):
-            if not 0 <= getattr(self, name) < np.inf:  # the not-form also rejects nan
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not np.isfinite(self.blob_center):
-            raise ValueError(f"blob_center must be finite, got {self.blob_center}")
+        store_real(self, "blob_radius", 0, np.inf, "[)")
+        store_real(self, "blob_std", 0, np.inf, "[)")
+        store_real(self, "blob_center", -np.inf, np.inf, "()")
 
     @property
     def total_batches(self) -> int:

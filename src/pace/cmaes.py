@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import check_array, check_int, check_positive
+from .validation import check_array, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,13 @@ def init(d: int, m0=None, tau0: float = 0.01, population_size: int = 12) -> Cmae
     the search exactly there.
     """
     d = check_int(d, "d")
-    check_positive(tau0, "tau0")
+    tau0 = check_real(tau0, "tau0", 0, np.inf, "()")
     population_size = check_int(population_size, "population_size", minimum=2)
     mean = np.zeros(d) if m0 is None else check_array(m0, "m0", ndim=1, length=d).copy()
     identity = np.eye(d)  # A and A^-1 of the identity; no update writes a factor
     return CmaesState(
         mean=mean,
-        step_size=float(tau0),
+        step_size=tau0,
         factor=identity,
         factor_inv=identity,
         path_sigma=np.zeros(d),

@@ -41,9 +41,8 @@ from .validation import (
     NonFiniteError,
     check_array,
     check_batch,
-    check_positive,
-    check_real,
     store_int,
+    store_real,
 )
 
 ADAPTING = "adapting"
@@ -83,16 +82,11 @@ class ControllerConfig:
         store_int(self, "population_size", minimum=2)
         store_int(self, "bank_capacity", minimum=0)
         store_int(self, "seed", minimum=0)
-        check_positive(self.tau0, "tau0")
-        FitnessConfig(self.lambda_weight)
-        for name in ("epsilon", "beta", "gamma"):
-            check_real(getattr(self, name), name)
-        if not self.epsilon >= 0:  # also rejects NaN
-            raise ValueError("epsilon must be >= 0")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
-        if not self.gamma > 0:  # also rejects NaN; inf never detects a shift
-            raise ValueError("gamma must be positive")
+        store_real(self, "tau0", 0, np.inf, "()")
+        store_real(self, "epsilon", 0, np.inf, "[]")
+        store_real(self, "gamma", 0, np.inf, "(]")  # inf never detects a shift
+        store_real(self, "beta", 0, 1, "(]")
+        object.__setattr__(self, "lambda_weight", FitnessConfig(self.lambda_weight).lambda_weight)
 
 
 @dataclass(frozen=True)

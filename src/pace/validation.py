@@ -1,4 +1,4 @@
-"""Input validation helpers shared across the package."""
+"""Input validation shared across the package: one rule for a count and one for a real setting."""
 from __future__ import annotations
 
 import numbers
@@ -42,17 +42,17 @@ def check_batch(x, name: str = "batch", *, width: int | None = None) -> np.ndarr
     return arr
 
 
-def check_real(value, name: str) -> None:
-    """A real setting: a real number (a bool, a string and None are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
-        raise ValueError(f"{name} must be a real number, got {value}")
-
-
-def check_positive(value: float, name: str) -> float:
-    """A real setting: finite and > 0 (inf, nan and a bool are not)."""
-    real = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    if not np.isfinite(real) or real <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
+def check_real(value, name: str, low: float, high: float, ends: str) -> float:
+    """A real setting: a real number (not a bool, a string, None or nan) in an interval, as a
+    Python float; ``ends`` holds the brackets, so ``"(]"`` takes ``high`` but not ``low``."""
+    refused = isinstance(value, bool) or not isinstance(value, numbers.Real)  # np.bool_ is not Real
+    real = np.nan if refused else float(value)  # nan fails both ends
+    above = low < real if ends[0] == "(" else low <= real
+    below = real < high if ends[1] == ")" else real <= high
+    if not (above and below):
+        raise ValueError(
+            f"{name} must be a real number in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}"
+        )
     return real
 
 
@@ -67,6 +67,11 @@ def check_int(value, name: str, minimum: int = 1) -> int:
 def store_int(config, name: str, minimum: int = 1) -> None:
     """``check_int`` a frozen config's field and store the Python int it returns there."""
     object.__setattr__(config, name, check_int(getattr(config, name), name, minimum))
+
+
+def store_real(config, name: str, low: float, high: float, ends: str) -> None:
+    """``check_real`` a frozen config's field and store the Python float it returns there."""
+    object.__setattr__(config, name, check_real(getattr(config, name), name, low, high, ends))
 
 
 def is_power_of_two(n: int) -> bool:

@@ -66,6 +66,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="key = value"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "first, second, key",
+        [
+            ("seed = 1", "seed = 2", "seed"),
+            ("bank-capacity = 3", "bank_capacity = 4", "bank_capacity"),
+        ],
+        ids=["seed", "dash-and-underscore"],
+    )
+    def test_key_set_twice_rejected_naming_both_lines(self, tmp_path, first, second, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{first}\n# a comment\n{second}\n")
+        with pytest.raises(ValueError, match=rf"run\.cfg:3: {key} is already set on line 1$"):
+            RunConfig.from_file(path)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             RunConfig(method="tent")

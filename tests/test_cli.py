@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pace.bench.run import RunConfig, prepare_assets, run_prepared
+from pace.bench.run import (
+    SUMMARY_SCHEMA_VERSION,
+    RunConfig,
+    RunReport,
+    prepare_assets,
+    run_prepared,
+)
 from pace.cli import main
 
 TINY_CONFIG = """
@@ -22,6 +28,13 @@ calibration_warmup = 10
 dim = 8
 population = 4
 """
+
+
+def _tiny_config(*lines):
+    """TINY_CONFIG with each ``key = value`` line in place of the line that sets its key."""
+    keys = {line.split("=")[0].strip() for line in lines}
+    kept = [old for old in TINY_CONFIG.splitlines() if old.split("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
 
 
 @pytest.fixture()
@@ -115,7 +128,7 @@ class TestRunCommand:
     )
     def test_unparsable_value_is_config_error_naming_its_key(self, tmp_path, capsys, line):
         path = tmp_path / "unparsable.cfg"
-        path.write_text(TINY_CONFIG + line + "\n")
+        path.write_text(_tiny_config(line))
         code = main(["run", "--config", str(path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -135,18 +148,18 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line",
+        "line, rule",
         [
-            pytest.param("train_epochs = -1", id="train_epochs"),
-            pytest.param("blob_std = -1", id="blob_std"),
+            pytest.param("train_epochs = -1", "must be >= 0", id="train_epochs"),
+            pytest.param("blob_std = -1", "must be a real number in [0, inf)", id="blob_std"),
         ],
     )
-    def test_negative_setting_is_config_error(self, tmp_path, capsys, line):
+    def test_negative_setting_is_config_error(self, tmp_path, capsys, line, rule):
         path = tmp_path / "negative.cfg"
-        path.write_text(TINY_CONFIG + line + "\n")
+        path.write_text(_tiny_config(line))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"{line.split()[0]} must be >= 0" in capsys.readouterr().err
+        assert f"{line.split()[0]} {rule}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -165,7 +178,7 @@ class TestRunCommand:
             *(
                 pytest.param(
                     [],
-                    TINY_CONFIG.replace("method = pace", "method = noadapt") + line + "\n",
+                    _tiny_config("method = noadapt", line),
                     id=f"noadapt-{line.split()[0]}",
                 )
                 for line in (
@@ -230,6 +243,14 @@ class TestCompareCommand:
         assert delta["method_a"] == "noadapt"
         assert delta["method_b"] == "pace"
         assert "overall_accuracy_delta" in delta
+
+    def test_compare_names_each_missing_summary_key(self, tmp_path, capsys):
+        record = {name: 0 for name in RunReport._summary_fields()}
+        del record["seed"], record["gamma"]
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"schema_version": SUMMARY_SCHEMA_VERSION, **record}))
+        assert main(["compare", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == "error: summary is missing seed, gamma\n"
 
     def test_compare_rejects_mismatched_streams(self, tmp_path, config_file, capsys):
         path_a, _ = self._write_summaries(tmp_path, config_file)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pace.controller import ControllerConfig
 from pace.fitness import FitnessConfig
 from pace.model import ArchitectureConfig
 from pace.projection import FastfoodProjector
-from pace.validation import check_array, check_int, check_positive, check_real
+from pace.validation import check_array, check_int, check_real
 
 
 def test_length_check_of_zero_dimensional_input_names_its_shape():
@@ -110,7 +111,12 @@ def test_count_rejection_names_the_setting(value, site):
         call(minimum - 1 if value is None else value)
 
 
-STORED_AS = {"cmaes.init": "dim", "RunConfig.noadapt.population": "population"}
+# where a site keeps its setting, when not under the setting's name
+STORED_AS = {
+    "cmaes.init": "dim",
+    "cmaes.init.tau0": "step_size",
+    "RunConfig.noadapt.population": "population",
+}
 
 
 @pytest.mark.parametrize("site", COUNTS)
@@ -122,13 +128,34 @@ def test_numpy_integer_count_is_stored_as_python_int(site):
     assert type(stored) is int and stored == 32
 
 
-def test_numpy_integer_seed_fingerprints_and_serializes_as_int():
-    numpy_seed, python_seed = RunConfig(seed=np.int64(3)), RunConfig(seed=3)
-    assert numpy_seed.stream_fingerprint() == python_seed.stream_fingerprint()
-    assert json.dumps(numpy_seed.as_dict()) == json.dumps(python_seed.as_dict())
+@pytest.mark.parametrize(
+    "setting, given, stored",
+    [
+        ("seed", np.int64(3), 3),
+        ("tau0", np.float32(0.05), float(np.float32(0.05))),
+        ("blob_radius", 4, 4.0),
+        ("blob_radius", np.int64(4), 4.0),
+    ],
+    ids=["numpy-seed", "float32-tau0", "int-blob_radius", "int64-blob_radius"],
+)
+def test_setting_fingerprints_and_serializes_as_its_python_value(setting, given, stored):
+    given_config, python_config = RunConfig(**{setting: given}), RunConfig(**{setting: stored})
+    assert given_config.stream_fingerprint() == python_config.stream_fingerprint()
+    assert json.dumps(given_config.as_dict()) == json.dumps(python_config.as_dict())
 
 
-POSITIVE, REAL = "a positive finite number", "a real number"
+# each real setting's interval, as its refusal message writes it
+INTERVALS = {
+    "tau0": "(0, inf)",
+    "severity": "(0, inf)",
+    "epsilon": "[0, inf]",
+    "gamma": "(0, inf]",
+    "beta": "(0, 1]",
+    "lambda_weight": "[0, inf)",
+    "blob_radius": "[0, inf)",
+    "blob_std": "[0, inf)",
+    "blob_center": "(-inf, inf)",
+}
 CONTROLLER_REALS = ("epsilon", "gamma", "beta", "lambda_weight")
 BLOB_REALS = ("blob_radius", "blob_std", "blob_center")
 
@@ -137,20 +164,17 @@ def _noadapt(**setting):
     return RunConfig(method="noadapt", **setting)
 
 
-# every real setting: (its name, the rule its message states, a call that sets it to ``value``)
+# every real setting: (its name, a call that sets it to ``value``)
 REALS = {
-    "check_positive": ("tau0", POSITIVE, lambda value: check_positive(value, "tau0")),
-    "cmaes.init.tau0": ("tau0", POSITIVE, lambda value: cmaes.init(4, tau0=value)),
-    "ControllerConfig.tau0": ("tau0", POSITIVE, lambda value: ControllerConfig(tau0=value)),
-    "RunConfig.tau0": ("tau0", POSITIVE, lambda value: RunConfig(tau0=value)),
-    "RunConfig.noadapt.tau0": ("tau0", POSITIVE, lambda value: _noadapt(tau0=value)),
-    "DomainSpec.severity": (
-        "severity", POSITIVE, lambda value: DomainSpec("feature_scale", value, 1)
-    ),
-    "check_real": ("epsilon", REAL, lambda value: check_real(value, "epsilon")),
-    "FitnessConfig.lambda_weight": ("lambda_weight", REAL, lambda value: FitnessConfig(value)),
+    "check_real": ("epsilon", lambda value: check_real(value, "epsilon", 0, np.inf, "[]")),
+    "cmaes.init.tau0": ("tau0", lambda value: cmaes.init(4, tau0=value)),
+    "ControllerConfig.tau0": ("tau0", lambda value: ControllerConfig(tau0=value)),
+    "RunConfig.tau0": ("tau0", lambda value: RunConfig(tau0=value)),
+    "RunConfig.noadapt.tau0": ("tau0", lambda value: _noadapt(tau0=value)),
+    "DomainSpec.severity": ("severity", lambda value: DomainSpec("feature_scale", value, 1)),
+    "FitnessConfig.lambda_weight": ("lambda_weight", lambda value: FitnessConfig(value)),
     **{
-        f"{site}.{name}": (name, REAL, lambda value, build=build, name=name: build(**{name: value}))
+        f"{site}.{name}": (name, lambda value, build=build, name=name: build(**{name: value}))
         for site, build, names in [
             ("ControllerConfig", ControllerConfig, CONTROLLER_REALS),
             ("RunConfig", RunConfig, CONTROLLER_REALS + BLOB_REALS),
@@ -163,17 +187,59 @@ REALS = {
 
 
 @pytest.mark.parametrize("site", REALS)
-@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy-True"])
-def test_bool_is_not_a_positive_real(value, site):
-    setting, rule, call = REALS[site]
-    message = rf"^{setting} must be {rule}, got {value}$"
+@pytest.mark.parametrize(
+    "value",
+    [True, False, np.True_, "0.5", None, np.nan],
+    ids=["True", "False", "numpy-True", "string", "None", "nan"],
+)
+def test_non_real_is_refused_naming_the_setting(value, site):
+    setting, call = REALS[site]
+    if value is None and site.startswith("RunConfig") and setting == "gamma":
+        assert call(value).gamma is None  # a run config's gamma = None calibrates gamma
+        return
+    message = rf"^{setting} must be a real number in {re.escape(INTERVALS[setting])}, got "
     with pytest.raises(ValueError, match=message):
         call(value)
 
 
+@pytest.mark.parametrize("site", REALS)
 @pytest.mark.parametrize(
-    "value", [2, np.int64(2), np.float32(2.0), 2.0], ids=["int", "int64", "float32", "float"]
+    "value", [1, np.int64(1), np.float32(0.05), np.float64(0.05)],
+    ids=["int", "int64", "float32", "float64"],
 )
-def test_positive_real_is_returned_as_python_float(value):
-    real = check_positive(value, "tau0")
-    assert type(real) is float and real == 2.0
+def test_real_is_stored_as_python_float(value, site):
+    setting, call = REALS[site]
+    built = call(value)
+    stored = built if site == "check_real" else getattr(built, STORED_AS.get(site, setting))
+    assert type(stored) is float and stored == float(value)
+
+
+# the ends of each interval: a value is accepted or refused, whatever the message
+ENDS = {
+    "tau0": ([], [0, np.inf]),
+    "severity": ([], [0, np.inf]),
+    "epsilon": ([0, np.inf], []),
+    "gamma": ([np.inf], [0]),
+    "beta": ([1], [0]),
+    "lambda_weight": ([0], [np.inf]),
+    "blob_radius": ([0], [np.inf]),
+    "blob_std": ([0], [np.inf]),
+    "blob_center": ([], [np.inf, -np.inf]),
+}
+END_CASES = [
+    pytest.param(site, value, accepted, id=f"{site}-{value}-{'in' if accepted else 'out'}")
+    for site, (setting, _) in REALS.items()
+    if site != "check_real"  # its interval is its caller's argument
+    for accepted, values in zip((True, False), ENDS[setting])
+    for value in values
+]
+
+
+@pytest.mark.parametrize("site, value, accepted", END_CASES)
+def test_interval_end_is_accepted_or_refused(site, value, accepted):
+    _, call = REALS[site]
+    if accepted:
+        call(value)
+    else:
+        with pytest.raises(ValueError):
+            call(value)
